@@ -1,6 +1,6 @@
 /**
  * @file
- * Open-loop Poisson load generator for the vibnn-serve network server.
+ * Poisson-schedule load generator for the vibnn-serve network server.
  *
  * Drives a sharded serve::Server over real loopback TCP with
  * Poisson-arrival classify traffic of MIXED ensemble sizes and batch
@@ -18,11 +18,15 @@
  *      must kick in: bounded p99 for accepted requests plus a nonzero
  *      reject count, instead of collapse).
  *
- * Open loop: each connection pre-draws its Poisson schedule and sends
- * at the scheduled instants regardless of completions (falling behind
- * means sending back-to-back until caught up) — so queueing delay
- * shows up in the latencies instead of silently throttling the
- * offered rate.
+ * Closed loop per connection: each connection pre-draws a Poisson
+ * schedule but sends with the blocking Client::classify, one request
+ * at a time, so a slow reply delays every later send on that
+ * connection and throttles the offered rate. Latency is timed from
+ * the actual send, not the scheduled instant, so the time a request
+ * waits behind its predecessor is not counted (coordinated omission):
+ * the percentiles understate queueing under load. For open-loop
+ * latency counted from the scheduled send, use the serve_* workloads
+ * of bench/e2e (bench_e2e).
  *
  * Env: VIBNN_SCALE scales request counts, VIBNN_SEED the schedules,
  * VIBNN_BENCH_JSON emits machine-readable records (BENCH_PR9.json is
@@ -77,7 +81,8 @@ struct LoadConfig
     std::uint64_t seed = 1;
 };
 
-/** Drive one connection's open-loop Poisson schedule. */
+/** Drive one connection's Poisson schedule (closed loop: each send
+ *  waits for the previous reply). */
 ConnResult
 runConnection(const LoadConfig &config, std::size_t conn_index)
 {
@@ -90,8 +95,8 @@ runConnection(const LoadConfig &config, std::size_t conn_index)
     }
 
     Rng rng(config.seed + conn_index * 7919);
-    // Pre-draw the whole arrival schedule (open loop) and the request
-    // mix: T in {4, 8}, batch in {1, 4} — mixed shapes are the point.
+    // Pre-draw the whole arrival schedule and the request mix: T in
+    // {4, 8}, batch in {1, 4} — mixed shapes are the point.
     std::vector<double> at_seconds(config.requestsPerConn);
     std::vector<std::uint32_t> t_of(config.requestsPerConn);
     std::vector<std::uint32_t> batch_of(config.requestsPerConn);
@@ -186,15 +191,19 @@ runLoad(const LoadConfig &config, serve::Server *server)
     summary.p95 = quantile(latencies, 0.95);
     summary.p99 = quantile(latencies, 0.99);
     if (server) {
-        const auto stats = server->stats();
-        double merge = 0.0;
-        for (const auto &shard : stats.shards) {
-            merge += shard.mergeImagesPerPass;
+        // Server-wide merge factor: total images over total passes, so
+        // a busy shard weighs by its passes instead of counting the
+        // same as an idle one.
+        std::uint64_t shard_images = 0, shard_passes = 0;
+        for (const auto &shard : server->stats().shards) {
+            shard_images += shard.images;
+            shard_passes += shard.passes;
             summary.heldPasses += shard.heldPasses;
         }
-        if (!stats.shards.empty())
+        if (shard_passes > 0)
             summary.mergeImagesPerPass =
-                merge / static_cast<double>(stats.shards.size());
+                static_cast<double>(shard_images) /
+                static_cast<double>(shard_passes);
     }
     return summary;
 }
@@ -262,7 +271,8 @@ int
 main(int argc, char **argv)
 {
     banner("serving load (PR 9)",
-           "Open-loop Poisson load against the sharded socket server: "
+           "Poisson-schedule load (closed loop per connection) against "
+           "the sharded socket server: "
            "shard sweep, offered-load sweep, overload rejection.");
 
     // --connect HOST PORT: drive an external vibnn_server instead of

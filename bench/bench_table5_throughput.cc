@@ -136,12 +136,12 @@ main()
     accel::McEngineConfig mc;
     mc.generatorId = "rlf";
     mc.seedBase = envSeed();
-    accel::McEngine engine(quantized, config, mc);
+    accel::McEngine engine(accel::compile(net, config), config, mc);
     // Replica construction happens on first use; classify one image
     // outside the timed region so the measurement is steady-state.
-    engine.classify(batch.data());
+    engine.classifyBatchDetailed(batch.data(), 1, 784, false);
     bench::Stopwatch engine_clock;
-    engine.classifyBatch(batch.data(), mc_images, 784);
+    engine.classifyBatchDetailed(batch.data(), mc_images, 784, false);
     const double engine_seconds = engine_clock.seconds();
     const double engine_throughput =
         static_cast<double>(mc_images) / engine_seconds;

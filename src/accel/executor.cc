@@ -7,6 +7,7 @@
 #include "accel/simulator.hh"
 #include "common/logging.hh"
 #include "nn/activations.hh"
+#include "stats/sequential_test.hh"
 
 namespace vibnn::accel
 {
@@ -83,25 +84,26 @@ Executor::runRoundBatchGather(const float *xs, std::size_t stride,
 std::size_t
 Executor::classify(const float *x, float *probs)
 {
-    const std::size_t out_dim = program().outputDim();
-    std::vector<float> acc(out_dim, 0.0f);
-    std::vector<float> logits(out_dim);
-    const auto &act = program().activationFormat;
-
+    stats::SequentialPosteriorTest ensemble(program().outputDim());
+    std::vector<float> sample(program().outputDim());
     for (int s = 0; s < config().mcSamples; ++s) {
-        const auto raw = runPass(x);
-        for (std::size_t i = 0; i < out_dim; ++i)
-            logits[i] = static_cast<float>(act.toReal(raw[i]));
-        nn::softmax(logits.data(), out_dim);
-        for (std::size_t i = 0; i < out_dim; ++i)
-            acc[i] += logits[i];
+        sampleSoftmax(program(), runPass(x).data(), sample.data());
+        ensemble.add(sample.data());
     }
-    const float inv = 1.0f / static_cast<float>(config().mcSamples);
-    for (auto &p : acc)
-        p *= inv;
     if (probs)
-        std::copy(acc.begin(), acc.end(), probs);
-    return nn::argmax(acc.data(), acc.size());
+        ensemble.mean(probs);
+    return ensemble.predicted();
+}
+
+void
+sampleSoftmax(const QuantizedProgram &program, const std::int64_t *raw,
+              float *probs)
+{
+    const std::size_t out_dim = program.outputDim();
+    const auto &act = program.activationFormat;
+    for (std::size_t i = 0; i < out_dim; ++i)
+        probs[i] = static_cast<float>(act.toReal(raw[i]));
+    nn::softmax(probs, out_dim);
 }
 
 namespace

@@ -159,13 +159,21 @@ class Executor
 
     /**
      * Full Monte-Carlo classification (config().mcSamples passes with
-     * softmax averaging, equation (6)) — the shared ensemble reduction
-     * every backend inherits.
+     * softmax averaging, equation (6)) — the ensemble reduction
+     * McEngine runs, inherited by every backend: per-pass
+     * sampleSoftmax, accumulated in double in sample order by a
+     * stats::SequentialPosteriorTest.
      * @param probs Optional: receives the averaged class probabilities.
      * @return The predicted class.
      */
     std::size_t classify(const float *x, float *probs = nullptr);
 };
+
+/** One MC sample's class distribution: the softmax of a pass's raw
+ *  output-layer values (program.outputDim() of them) read on the
+ *  activation grid. */
+void sampleSoftmax(const QuantizedProgram &program,
+                   const std::int64_t *raw, float *probs);
 
 /**
  * Create an executor backend by registry id ("simulator", "functional",

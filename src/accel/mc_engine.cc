@@ -7,8 +7,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "grng/registry.hh"
-#include "nn/activations.hh"
-#include "nn/tensor.hh"
 
 namespace vibnn::accel
 {
@@ -28,13 +26,6 @@ McEngine::McEngine(const QuantizedProgram &program,
         if (mc_.threads > 1)
             ownPool_ = std::make_unique<ThreadPool>(mc_.threads - 1);
     }
-}
-
-McEngine::McEngine(const QuantizedNetwork &network,
-                   const AcceleratorConfig &config,
-                   const McEngineConfig &mc)
-    : McEngine(programFromNetwork(network), config, mc)
-{
 }
 
 McEngine::~McEngine() = default;
@@ -78,320 +69,110 @@ McEngine::ensureReplicas(std::size_t n)
     }
 }
 
-std::vector<std::int64_t>
-McEngine::runUnit(Replica &replica, const float *x, std::uint64_t image,
-                  std::uint64_t sample)
+template <typename SeedOf, typename Body>
+void
+McEngine::fanOut(std::size_t units, const SeedOf &seed_of,
+                 const Body &body)
 {
-    const std::uint64_t seed = streamSeed(mc_.seedBase, image, sample);
-    // Counter-based generators rekey in place (two register writes):
-    // the per-unit stream switch then skips the heap construction. The
-    // setGenerator call still runs to reset the executor's eps ring.
-    if (replica.idleGenerator->reseed(seed)) {
-        replica.executor->setGenerator(replica.idleGenerator.get());
-        return replica.executor->runPass(x);
-    }
-    auto generator = grng::makeGenerator(mc_.generatorId, seed);
-    replica.executor->setGenerator(generator.get());
-    auto raw = replica.executor->runPass(x);
-    // Leave the replica pointing at its own long-lived stream before
-    // the unit's generator goes out of scope.
-    replica.executor->setGenerator(replica.idleGenerator.get());
-    return raw;
-}
-
-std::vector<std::vector<std::int64_t>>
-McEngine::runUnits(const float *xs, std::size_t count, std::size_t stride)
-{
-    const std::size_t samples =
-        static_cast<std::size_t>(config_.mcSamples);
-    const std::size_t units = count * samples;
-    std::vector<std::vector<std::int64_t>> raw(units);
     if (units == 0)
-        return raw;
-
+        return;
     const std::size_t replica_count =
         std::max<std::size_t>(1, std::min(executors_, units));
     ensureReplicas(replica_count);
-    // Unit-level scheduling owns the pool here; revoke any intra-pass
-    // grant so a backend cannot fan out underneath it.
+
+    // Oversubscription guard: when unit-level scheduling fans the
+    // units over the pool (replica_count > 1), backends must not also
+    // fan the image dimension over the same workers. With a single
+    // replica the units run serially, so the pool is free — hand it to
+    // the backend for intra-pass (image-dim) parallelism; weights are
+    // frozen per round, so results stay bit-identical either way.
+    ThreadPool *pool =
+        mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
+    const bool unit_level = pool != nullptr && replica_count > 1;
     for (auto &replica : replicas_)
-        replica.executor->setWorkPool(nullptr);
+        replica.executor->setWorkPool(unit_level ? nullptr : pool);
 
     // Static unit assignment: replica r owns units r, r+R, r+2R, ...
     // Outputs depend only on the unit (seeded stream + pure pass), so
     // the partition is a performance choice, not a semantic one.
     auto run_replica = [&](std::size_t r) {
         Replica &replica = replicas_[r];
+        Executor &executor = *replica.executor;
         for (std::size_t u = r; u < units; u += replica_count) {
-            const std::size_t image = u / samples;
-            const std::size_t sample = u % samples;
-            raw[u] =
-                runUnit(replica, xs + image * stride, image, sample);
-        }
-    };
-
-    ThreadPool *pool =
-        mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
-    if (pool && replica_count > 1)
-        pool->parallelFor(replica_count, run_replica);
-    else
-        for (std::size_t r = 0; r < replica_count; ++r)
-            run_replica(r);
-    return raw;
-}
-
-std::vector<std::vector<std::int64_t>>
-McEngine::runRoundsBatch(const float *xs, std::size_t count,
-                         std::size_t stride)
-{
-    const std::size_t rounds =
-        static_cast<std::size_t>(config_.mcSamples);
-    const std::size_t out_dim = program_.outputDim();
-    std::vector<std::vector<std::int64_t>> raw(rounds);
-    if (count == 0)
-        return raw;
-
-    const std::size_t replica_count =
-        std::max<std::size_t>(1, std::min(executors_, rounds));
-    ensureReplicas(replica_count);
-
-    // Oversubscription guard: when round-level scheduling fans the
-    // rounds over the pool (replica_count > 1), backends must not
-    // also fan the image dimension over the same workers. With a
-    // single replica the rounds run serially, so the pool is free —
-    // hand it to the backend for intra-pass (image-dim) parallelism;
-    // weights are frozen per round, so results stay bit-identical
-    // either way.
-    ThreadPool *pool =
-        mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
-    const bool round_level = pool != nullptr && replica_count > 1;
-    for (auto &replica : replicas_)
-        replica.executor->setWorkPool(round_level ? nullptr : pool);
-
-    // Static round assignment, mirroring runUnits: replica r owns
-    // rounds r, r+R, r+2R, ... A round's output depends only on its
-    // seeded stream and the batch, so the partition is a performance
-    // choice, not a semantic one.
-    auto run_replica = [&](std::size_t r) {
-        Replica &replica = replicas_[r];
-        for (std::size_t u = r; u < rounds; u += replica_count) {
-            const std::uint64_t seed = roundSeed(mc_.seedBase, u);
-            raw[u].resize(count * out_dim);
-            // Counter-based generators rekey in place — the per-round
-            // stream switch costs two register writes instead of a
-            // heap construction per round.
+            const std::uint64_t seed = seed_of(u);
+            // Counter-based generators rekey in place (two register
+            // writes): the per-unit stream switch then skips the heap
+            // construction. The setGenerator call still runs to reset
+            // the executor's eps ring.
             if (replica.idleGenerator->reseed(seed)) {
-                replica.executor->setGenerator(
-                    replica.idleGenerator.get());
-                replica.executor->runRoundBatch(xs, count, stride,
-                                                raw[u].data());
+                executor.setGenerator(replica.idleGenerator.get());
+                body(executor, u);
                 continue;
             }
             auto generator = grng::makeGenerator(mc_.generatorId, seed);
-            replica.executor->setGenerator(generator.get());
-            replica.executor->runRoundBatch(xs, count, stride,
-                                            raw[u].data());
-            replica.executor->setGenerator(
-                replica.idleGenerator.get());
+            executor.setGenerator(generator.get());
+            body(executor, u);
+            // Leave the replica pointing at its own long-lived stream
+            // before the unit's generator goes out of scope.
+            executor.setGenerator(replica.idleGenerator.get());
         }
     };
 
-    if (round_level)
+    if (unit_level)
         pool->parallelFor(replica_count, run_replica);
     else
         for (std::size_t r = 0; r < replica_count; ++r)
             run_replica(r);
-    return raw;
-}
-
-namespace
-{
-
-/**
- * The one softmax-average ensemble reduction (equation (6)): sample
- * s's raw outputs come from raw_of(s). Serial, in sample order — the
- * same fixed accumulation sequence Executor::classify performs,
- * regardless of thread count. A non-null sample_probs captures each
- * sample's softmax distribution as a side channel; the mean is
- * accumulated identically either way.
- */
-template <typename RawOf>
-void
-reduceEnsemble(std::size_t samples, std::size_t out_dim,
-               const fixed::FixedPointFormat &act, RawOf raw_of,
-               float *probs, float *sample_probs)
-{
-    std::vector<float> logits(out_dim);
-    std::fill(probs, probs + out_dim, 0.0f);
-    for (std::size_t s = 0; s < samples; ++s) {
-        const std::int64_t *raw = raw_of(s);
-        for (std::size_t i = 0; i < out_dim; ++i)
-            logits[i] = static_cast<float>(act.toReal(raw[i]));
-        nn::softmax(logits.data(), out_dim);
-        if (sample_probs)
-            std::copy(logits.begin(), logits.end(),
-                      sample_probs + s * out_dim);
-        for (std::size_t i = 0; i < out_dim; ++i)
-            probs[i] += logits[i];
-    }
-    const float inv = 1.0f / static_cast<float>(samples);
-    for (std::size_t i = 0; i < out_dim; ++i)
-        probs[i] *= inv;
-}
-
-} // namespace
-
-void
-McEngine::reduceProbs(const std::vector<std::int64_t> *raw_samples,
-                      std::size_t samples, float *probs,
-                      float *sample_probs) const
-{
-    reduceEnsemble(samples, program_.outputDim(),
-                   program_.activationFormat,
-                   [&](std::size_t s) { return raw_samples[s].data(); },
-                   probs, sample_probs);
-}
-
-void
-McEngine::reduceRoundProbs(
-    const std::vector<std::vector<std::int64_t>> &rounds,
-    std::size_t image, float *probs, float *sample_probs) const
-{
-    const std::size_t out_dim = program_.outputDim();
-    reduceEnsemble(rounds.size(), out_dim, program_.activationFormat,
-                   [&](std::size_t s) {
-                       return rounds[s].data() + image * out_dim;
-                   },
-                   probs, sample_probs);
-}
-
-std::vector<std::size_t>
-McEngine::classifyBatchImpl(const float *xs, std::size_t count,
-                            std::size_t stride, float *probs,
-                            float *sample_probs)
-{
-    const std::size_t out_dim = program_.outputDim();
-    const std::size_t samples =
-        static_cast<std::size_t>(config_.mcSamples);
-    std::vector<std::size_t> predictions(count, 0);
-    if (count == 0)
-        return predictions;
-
-    std::vector<float> acc(out_dim);
-    const auto image_samples = [&](std::size_t image) {
-        return sample_probs ? sample_probs + image * samples * out_dim
-                            : nullptr;
-    };
-    if (mc_.schedule == McSchedule::PerRound) {
-        const auto rounds = runRoundsBatch(xs, count, stride);
-        for (std::size_t image = 0; image < count; ++image) {
-            reduceRoundProbs(rounds, image, acc.data(),
-                             image_samples(image));
-            if (probs)
-                std::copy(acc.begin(), acc.end(),
-                          probs + image * out_dim);
-            predictions[image] = nn::argmax(acc.data(), acc.size());
-        }
-        return predictions;
-    }
-
-    const auto raw = runUnits(xs, count, stride);
-    for (std::size_t image = 0; image < count; ++image) {
-        reduceProbs(raw.data() + image * samples, samples, acc.data(),
-                    image_samples(image));
-        if (probs)
-            std::copy(acc.begin(), acc.end(), probs + image * out_dim);
-        predictions[image] = nn::argmax(acc.data(), acc.size());
-    }
-    return predictions;
-}
-
-std::vector<std::size_t>
-McEngine::classifyBatch(const float *xs, std::size_t count,
-                        std::size_t stride, float *probs)
-{
-    return classifyBatchImpl(xs, count, stride, probs, nullptr);
-}
-
-McBatchResult
-McEngine::classifyBatchDetailed(const float *xs, std::size_t count,
-                                std::size_t stride,
-                                bool keep_sample_probs)
-{
-    const std::size_t out_dim = program_.outputDim();
-    const std::size_t samples =
-        static_cast<std::size_t>(config_.mcSamples);
-    McBatchResult result;
-    result.probs.resize(count * out_dim);
-    if (keep_sample_probs)
-        result.sampleProbs.resize(count * samples * out_dim);
-    result.predicted = classifyBatchImpl(
-        xs, count, stride, result.probs.data(),
-        keep_sample_probs ? result.sampleProbs.data() : nullptr);
-    return result;
 }
 
 void
 McEngine::runRoundRange(const float *xs, std::size_t stride,
                         const std::uint32_t *indices, std::size_t count,
-                        int r_begin, int r_end,
+                        int r_begin, int r_end, bool per_unit,
                         std::vector<std::int64_t> &raw)
 {
     const std::size_t out_dim = program_.outputDim();
     const std::size_t rounds = static_cast<std::size_t>(r_end - r_begin);
     raw.resize(rounds * count * out_dim);
-    if (rounds == 0 || count == 0)
-        return;
-
-    const std::size_t replica_count =
-        std::max<std::size_t>(1, std::min(executors_, rounds));
-    ensureReplicas(replica_count);
-
-    // Same oversubscription policy as runRoundsBatch: round-level
-    // fan-out owns the pool when several rounds run at once; a lone
-    // replica (tail chunks shrink to one round) hands the pool down
-    // for image-dimension parallelism instead.
-    ThreadPool *pool =
-        mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
-    const bool round_level = pool != nullptr && replica_count > 1;
-    for (auto &replica : replicas_)
-        replica.executor->setWorkPool(round_level ? nullptr : pool);
-
-    auto run_replica = [&](std::size_t r) {
-        Replica &replica = replicas_[r];
-        for (std::size_t u = r; u < rounds; u += replica_count) {
-            // Seed by the GLOBAL round index: the stream of round
-            // r_begin + u is the one the fixed-T run uses for that same
-            // round, so surviving images' samples are bit-identical to
-            // it regardless of chunking or who else is still active.
-            const std::uint64_t seed =
-                roundSeed(mc_.seedBase,
-                          static_cast<std::uint64_t>(r_begin) + u);
-            std::int64_t *out = raw.data() + u * count * out_dim;
-            if (replica.idleGenerator->reseed(seed)) {
-                replica.executor->setGenerator(
-                    replica.idleGenerator.get());
-                replica.executor->runRoundBatchGather(xs, stride,
-                                                      indices, count,
-                                                      out);
-                continue;
-            }
-            auto generator = grng::makeGenerator(mc_.generatorId, seed);
-            replica.executor->setGenerator(generator.get());
-            replica.executor->runRoundBatchGather(xs, stride, indices,
-                                                  count, out);
-            replica.executor->setGenerator(replica.idleGenerator.get());
-        }
+    const auto global_round = [&](std::size_t r) {
+        return static_cast<std::uint64_t>(r_begin) + r;
     };
 
-    if (round_level)
-        pool->parallelFor(replica_count, run_replica);
-    else
-        for (std::size_t r = 0; r < replica_count; ++r)
-            run_replica(r);
+    if (per_unit) {
+        // Unit u is (image a, round r) in image-major order; its pass
+        // lands in the round-major slot the reduction reads.
+        fanOut(count * rounds,
+               [&](std::size_t u) {
+                   return streamSeed(mc_.seedBase, indices[u / rounds],
+                                     global_round(u % rounds));
+               },
+               [&](Executor &executor, std::size_t u) {
+                   const std::size_t a = u / rounds;
+                   const std::size_t r = u % rounds;
+                   const auto pass =
+                       executor.runPass(xs + indices[a] * stride);
+                   std::copy(pass.begin(), pass.end(),
+                             raw.data() + (r * count + a) * out_dim);
+               });
+        return;
+    }
+
+    // Seed by the GLOBAL round index: the stream of round r_begin + u
+    // is the one the fixed-T run uses for that same round, so surviving
+    // images' samples are bit-identical to it regardless of chunking or
+    // who else is still active.
+    fanOut(rounds,
+           [&](std::size_t u) {
+               return roundSeed(mc_.seedBase, global_round(u));
+           },
+           [&](Executor &executor, std::size_t u) {
+               executor.runRoundBatchGather(
+                   xs, stride, indices, count,
+                   raw.data() + u * count * out_dim);
+           });
 }
 
-McAdaptiveBatchResult
+McBatchResult
 McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
                                 std::size_t stride,
                                 const McAdaptiveOptions &options,
@@ -400,9 +181,10 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
     const std::size_t out_dim = program_.outputDim();
     const int budget =
         options.budget > 0 ? options.budget : config_.mcSamples;
-    VIBNN_ASSERT(budget >= 1, "adaptive MC needs a positive budget");
+    VIBNN_ASSERT(budget >= 1, "Monte-Carlo classification needs a "
+                              "positive round budget");
 
-    McAdaptiveBatchResult result;
+    McBatchResult result;
     result.predicted.assign(count, 0);
     result.probs.assign(count * out_dim, 0.0f);
     result.achieved.assign(count, 0);
@@ -413,33 +195,22 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
     if (count == 0)
         return result;
 
-    if (!options.enabled) {
-        // threshold=off contract: byte-for-byte today's fixed-T path
-        // (same float reduction, same code), with the adaptive
-        // bookkeeping reporting "ran the whole budget".
-        VIBNN_ASSERT(budget == config_.mcSamples,
-                     "threshold=off adaptive MC must use the engine's "
-                     "configured round budget");
-        result.predicted = classifyBatchImpl(
-            xs, count, stride, result.probs.data(),
-            keep_sample_probs ? result.sampleProbs.data() : nullptr);
-        std::fill(result.achieved.begin(), result.achieved.end(),
-                  budget);
-        result.meanRounds = static_cast<double>(budget);
-        return result;
-    }
-
     // The sequential per-image fallback stream of non-batched backends
     // makes image i's eps depend on how many images precede it in the
     // round — batch-composition-dependent, which adaptive compaction
     // would expose. Only the weight-reuse path has the per-image
     // independence the determinism contract needs.
-    if (!executorCaps(mc_.backendId).batchedRounds)
+    if (options.enabled && !executorCaps(mc_.backendId).batchedRounds)
         fatal("adaptive early-exit MC requires a batched-rounds "
               "backend (got '" + mc_.backendId + "')");
 
-    const int chunk = std::max(options.chunk, 1);
-    const auto &act = program_.activationFormat;
+    // Early exit off: the whole budget is one increment, so neither
+    // the convergence checkpoint nor the deadline below is ever
+    // reached, and PerUnit engines keep their (image, sample) units.
+    const int chunk = options.enabled ? std::max(options.chunk, 1)
+                                      : budget;
+    const bool per_unit =
+        !options.enabled && mc_.schedule == McSchedule::PerUnit;
     std::vector<stats::SequentialPosteriorTest> tests(count);
     for (auto &test : tests)
         test.reset(out_dim);
@@ -450,12 +221,12 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
     const auto t_start = std::chrono::steady_clock::now();
 
     std::vector<std::int64_t> raw;
-    std::vector<float> logits(out_dim);
+    std::vector<float> sample(out_dim);
     int done = 0;
     while (done < budget && !active.empty()) {
         const int next = std::min(done + chunk, budget);
         runRoundRange(xs, stride, active.data(), active.size(), done,
-                      next, raw);
+                      next, per_unit, raw);
 
         // Serial per-image accumulation in global round order: every
         // image's running statistics are a pure function of its own
@@ -467,18 +238,15 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
                     (static_cast<std::size_t>(r - done) * active.size() +
                      a) *
                         out_dim;
-                for (std::size_t i = 0; i < out_dim; ++i)
-                    logits[i] =
-                        static_cast<float>(act.toReal(row[i]));
-                nn::softmax(logits.data(), out_dim);
+                sampleSoftmax(program_, row, sample.data());
                 if (keep_sample_probs)
                     std::copy(
-                        logits.begin(), logits.end(),
+                        sample.begin(), sample.end(),
                         result.sampleProbs.data() +
                             (static_cast<std::size_t>(image) * budget +
                              tests[image].samples()) *
                                 out_dim);
-                tests[image].add(logits.data());
+                tests[image].add(sample.data());
             }
         }
         done = next;
@@ -533,27 +301,15 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
     return result;
 }
 
-std::size_t
-McEngine::classify(const float *x, float *probs)
+McBatchResult
+McEngine::classifyBatchDetailed(const float *xs, std::size_t count,
+                                std::size_t stride,
+                                bool keep_sample_probs)
 {
-    return classifyBatch(x, 1, program_.inputDim(), probs).front();
-}
-
-McResult
-McEngine::classifyDetailed(const float *x)
-{
-    McResult result;
-    // For a one-image batch a PerRound round IS one per-sample pass,
-    // so both schedules fill rawSamples with mcSamples raw outputs.
-    result.rawSamples = mc_.schedule == McSchedule::PerRound
-                            ? runRoundsBatch(x, 1, program_.inputDim())
-                            : runUnits(x, 1, program_.inputDim());
-    result.probs.assign(program_.outputDim(), 0.0f);
-    reduceProbs(result.rawSamples.data(), result.rawSamples.size(),
-                result.probs.data());
-    result.predicted = nn::argmax(result.probs.data(),
-                                  result.probs.size());
-    return result;
+    McAdaptiveOptions fixed_t;
+    fixed_t.enabled = false;
+    return classifyBatchAdaptive(xs, count, stride, fixed_t,
+                                 keep_sample_probs);
 }
 
 CycleStats

@@ -3,17 +3,21 @@
  * Parallel Monte-Carlo inference engine.
  *
  * VIBNN's ensemble estimate (equation (6)) averages the softmax of
- * config.mcSamples independent forward passes. The engine schedules
- * that estimate over ThreadPool workers, each owning a full executor
- * backend replica (any id registered with accel::makeExecutor), at one
- * of two granularities:
+ * T independent forward passes. The engine computes it with one loop:
+ * MC rounds run in increments over an active set of images, and every
+ * image's per-sample softmaxes are accumulated in double precision in
+ * sample order by its own stats::SequentialPosteriorTest. Fixed-T
+ * classification is that loop with early exit off — the whole budget
+ * as one increment over every image. Rounds fan out over ThreadPool
+ * workers, each owning a full executor backend replica (any id
+ * registered with accel::makeExecutor), at one of two granularities:
  *
  *  - PerUnit (fidelity): the work unit is one (image, MC sample) pass.
  *    Every unit draws fresh weights — the paper's per-pass sampling
  *    contract — and runs with a generator freshly seeded from
  *    streamSeed(seedBase, i, s).
  *  - PerRound (throughput): the work unit is one MC round over the
- *    WHOLE batch, seeded from roundSeed(seedBase, r). On a backend
+ *    WHOLE active set, seeded from roundSeed(seedBase, r). On a backend
  *    with caps().batchedRounds (the "batched" weight-reuse path) one
  *    weight sample per compute op serves every image of the round, so
  *    the batch costs T rounds instead of T x B passes. When only one
@@ -24,13 +28,16 @@
  *    workers, and intra-pass fan-out underneath it would oversubscribe
  *    them.
  *
+ * Early exit always runs PerRound (it needs caps().batchedRounds);
+ * with it off, PerUnit engines keep their (image, sample) units.
+ *
  * Determinism is by construction schedule-independent in both modes:
  * a unit's output is a pure function of (input(s), seeded eps stream),
  * so which replica executes it cannot change the result, outputs are
- * bit-identical for any thread count, and the per-image probability
- * reduction runs serially in sample order so the float accumulation
- * order is fixed too. Aggregate CycleStats are merged by summation
- * over replicas, which is also schedule-independent.
+ * bit-identical for any thread count, and the per-image reduction runs
+ * serially in sample order so the accumulation order is fixed too.
+ * Aggregate CycleStats are merged by summation over replicas, which is
+ * also schedule-independent.
  */
 
 #ifndef VIBNN_ACCEL_MC_ENGINE_HH
@@ -80,35 +87,7 @@ struct McEngineConfig
     McSchedule schedule = McSchedule::PerUnit;
 };
 
-/** Per-image result with the per-sample detail kept. */
-struct McResult
-{
-    std::size_t predicted = 0;
-    /** Averaged class probabilities (outputDim). */
-    std::vector<float> probs;
-    /** Raw output-layer values of each MC pass (mcSamples x outputDim),
-     *  on the activation grid — bit-comparable across runs. */
-    std::vector<std::vector<std::int64_t>> rawSamples;
-};
-
-/**
- * Batched classification with the per-sample softmax distributions
- * kept — the probability hook the serving layer's uncertainty
- * decomposition (predictive entropy vs. mutual information) needs.
- */
-struct McBatchResult
-{
-    /** Predicted class per image (count). */
-    std::vector<std::size_t> predicted;
-    /** Ensemble-mean probabilities, count x outputDim — bit-identical
-     *  with what classifyBatch reports (same serial reduction). */
-    std::vector<float> probs;
-    /** Per-sample softmax distributions,
-     *  count x mcSamples x outputDim row-major. */
-    std::vector<float> sampleProbs;
-};
-
-/** Why an image's adaptive Monte-Carlo sampling stopped. */
+/** Why an image's Monte-Carlo sampling stopped. */
 enum class McExitReason
 {
     /** Ran the full round budget (the hard images — and every image
@@ -135,27 +114,32 @@ struct McAdaptiveOptions
     /** The sequential convergence test (confidence, minSamples). */
     stats::SequentialTestConfig test;
     /** false disables early exit entirely: every image runs the full
-     *  budget through the EXACT fixed-T code path (bit-identical to
-     *  classifyBatchDetailed — the threshold=off contract). */
+     *  budget as one increment, with no checkpoint and no deadline —
+     *  fixed-T classification (what classifyBatchDetailed runs). */
     bool enabled = true;
     /** Anytime deadline in seconds from call entry, checked at chunk
-     *  boundaries; <= 0 means none. Wall-clock-dependent by nature, so
-     *  the bit-determinism contract applies to runs without one. */
+     *  boundaries; <= 0 means none. Ignored with early exit off.
+     *  Wall-clock-dependent by nature, so the bit-determinism contract
+     *  applies to runs without one. */
     double deadlineSeconds = 0.0;
 };
 
-/** classifyBatchAdaptive output: per-image posterior plus how many
- *  rounds each image actually consumed and why it stopped. */
-struct McAdaptiveBatchResult
+/**
+ * Batched classification output: per-image posterior plus how many
+ * rounds each image actually consumed and why it stopped.
+ */
+struct McBatchResult
 {
-    /** Predicted class per image (count). */
+    /** Predicted class per image (count): argmax of the running
+     *  mean (lowest index wins ties). */
     std::vector<std::size_t> predicted;
-    /** Running ensemble-mean probabilities at exit, count x outputDim
-     *  (double-accumulated in round order, then narrowed). */
+    /** Ensemble-mean probabilities at exit, count x outputDim
+     *  (double-accumulated in sample order, then narrowed). */
     std::vector<float> probs;
     /** Per-sample softmax distributions, count x budget x outputDim
-     *  row-major, zero-filled past each image's achieved rounds (the
-     *  serving layer reads achieved[i] rows). Empty unless
+     *  row-major, zero-filled past each image's achieved rounds — the
+     *  probability hook the serving layer's uncertainty decomposition
+     *  (predictive entropy vs. mutual information) reads. Empty unless
      *  keep_sample_probs. */
     std::vector<float> sampleProbs;
     /** Rounds actually consumed per image. */
@@ -174,78 +158,51 @@ class McEngine
     McEngine(const QuantizedProgram &program,
              const AcceleratorConfig &config,
              const McEngineConfig &mc = McEngineConfig{});
-
-    /** Legacy front-end: lift a flat QuantizedNetwork into a program
-     *  (one Dense op per layer). */
-    McEngine(const QuantizedNetwork &network,
-             const AcceleratorConfig &config,
-             const McEngineConfig &mc = McEngineConfig{});
     ~McEngine();
 
     McEngine(const McEngine &) = delete;
     McEngine &operator=(const McEngine &) = delete;
 
-    /** Classify one image (config.mcSamples parallel passes). */
-    std::size_t classify(const float *x, float *probs = nullptr);
-
-    /** Classify with per-sample raw outputs retained. */
-    McResult classifyDetailed(const float *x);
-
     /**
      * Classify a batch: `count` images of `stride` floats each,
-     * row-major. Returns the predicted class per image; if `probs` is
-     * non-null it receives count * outputDim averaged probabilities.
-     */
-    std::vector<std::size_t> classifyBatch(const float *xs,
-                                           std::size_t count,
-                                           std::size_t stride,
-                                           float *probs = nullptr);
-
-    /**
-     * Classify a batch and keep the per-sample softmax distributions
-     * (for mutual-information / BALD style uncertainty decomposition).
-     * The mean probabilities are reduced in the exact same serial
-     * sample order as classifyBatch, so `probs` is bit-identical to
-     * what classifyBatch would report at the same seeds. With
-     * keep_sample_probs false the count x T x outputDim buffer is
+     * row-major. MC rounds run in increments of options.chunk; each
+     * image's per-round softmax feeds its own SequentialPosteriorTest,
+     * and images retire from the active set as soon as the test says
+     * more rounds cannot change the decision — the easy images finish
+     * after minSamples rounds while the hard ones run to the budget.
+     * Retired images leave the round via active-set compaction
+     * (Executor::runRoundBatchGather), so they stop occupying GEMM
+     * tiles immediately. With options.enabled == false the whole
+     * budget runs as one increment over every image: fixed-T
+     * classification, on either schedule.
+     *
+     * Determinism on the round schedule: round r is always seeded
+     * roundSeed(seedBase, r) and the batched weight draw is
+     * batch-independent, so a retained image's eps stream — and
+     * therefore its sample sequence — is bit-identical to the fixed-T
+     * run no matter which neighbours have already retired; decisions
+     * and running means are serial per-image double-precision
+     * reductions in sample order. Results are therefore bit-identical
+     * across thread counts AND batch compositions (ctest-pinned).
+     *
+     * Early exit requires a backend with caps().batchedRounds (the
+     * sequential per-image fallback stream would make per-image outputs
+     * depend on batch composition); fatal() otherwise. With
+     * keep_sample_probs false the count x budget x outputDim buffer is
      * never materialized (sampleProbs stays empty) — for large
      * prediction-only batches.
      */
+    McBatchResult classifyBatchAdaptive(const float *xs, std::size_t count,
+                                        std::size_t stride,
+                                        const McAdaptiveOptions &options,
+                                        bool keep_sample_probs = true);
+
+    /** Fixed-T classification (config.mcSamples rounds per image):
+     *  classifyBatchAdaptive with early exit off. */
     McBatchResult classifyBatchDetailed(const float *xs,
                                         std::size_t count,
                                         std::size_t stride,
                                         bool keep_sample_probs = true);
-
-    /**
-     * Adaptive early-exit classification: run MC rounds in increments
-     * of options.chunk, feed each image's per-round softmax into its
-     * own SequentialPosteriorTest, and retire images from the active
-     * set as soon as the test says more rounds cannot change the
-     * decision — the easy images finish after minSamples rounds while
-     * the hard ones run to the budget. Retired images leave the round
-     * via active-set compaction (Executor::runRoundBatchGather), so
-     * they stop occupying GEMM tiles immediately.
-     *
-     * Determinism: round r is always seeded roundSeed(seedBase, r) and
-     * the batched weight draw is batch-independent, so a retained
-     * image's eps stream — and therefore its sample sequence — is
-     * bit-identical to the fixed-T run no matter which neighbours have
-     * already retired; decisions and running means are serial per-image
-     * double-precision reductions in round order. Results are therefore
-     * bit-identical across thread counts AND batch compositions
-     * (ctest-pinned). With options.enabled == false the call routes
-     * through the exact fixed-T path and reproduces
-     * classifyBatchDetailed byte for byte.
-     *
-     * Requires a backend with caps().batchedRounds (the sequential
-     * per-image fallback stream would make per-image outputs depend on
-     * batch composition); fatal() otherwise.
-     */
-    McAdaptiveBatchResult
-    classifyBatchAdaptive(const float *xs, std::size_t count,
-                          std::size_t stride,
-                          const McAdaptiveOptions &options,
-                          bool keep_sample_probs = true);
 
     /** Aggregate statistics merged (summed) over all replicas. */
     CycleStats stats() const;
@@ -284,68 +241,32 @@ class McEngine
     /** Ensure replicas [0, n) exist. */
     void ensureReplicas(std::size_t n);
 
-    /** Run one (image, sample) unit on a replica; returns raw pass
-     *  outputs. */
-    std::vector<std::int64_t> runUnit(Replica &replica, const float *x,
-                                      std::uint64_t image,
-                                      std::uint64_t sample);
-
     /**
-     * The PerUnit parallel fan-out: run every (image, sample) unit of
-     * the batch, returning count * mcSamples raw pass outputs indexed
-     * by unit. Partitioning is replica-static; results depend only on
-     * the unit, so the schedule is invisible in the output.
+     * The one parallel fan-out: run work units [0, units), unit u as
+     * body(executor, u) on a replica whose executor reads the eps
+     * stream seeded seed_of(u). Partitioning is replica-static; a
+     * unit's output depends only on its seeded stream and its inputs,
+     * so the schedule is invisible in the output.
      */
-    std::vector<std::vector<std::int64_t>> runUnits(const float *xs,
-                                                    std::size_t count,
-                                                    std::size_t stride);
-
-    /**
-     * The PerRound parallel fan-out: run every MC round over the whole
-     * batch, returning mcSamples buffers of count * outputDim raw
-     * values. Round r runs with the stream seeded by
-     * roundSeed(seedBase, r), so the partition is invisible in the
-     * output exactly like runUnits.
-     */
-    std::vector<std::vector<std::int64_t>> runRoundsBatch(
-        const float *xs, std::size_t count, std::size_t stride);
+    template <typename SeedOf, typename Body>
+    void fanOut(std::size_t units, const SeedOf &seed_of,
+                const Body &body);
 
     /**
      * Run global MC rounds [r_begin, r_end) over the active subset
-     * `indices[0..count)` of the batch (gather rounds), fanned over
-     * replicas like runRoundsBatch. `raw` is resized to
-     * (r_end - r_begin) x count x outputDim, round-major. Round r is
-     * seeded roundSeed(seedBase, r) — the GLOBAL index — so the stream
-     * any surviving image sees is independent of chunking and of which
-     * images remain.
+     * `indices[0..count)` of the batch. `raw` is resized to
+     * (r_end - r_begin) x count x outputDim, round-major. With
+     * `per_unit` every (image, round) pass is its own work unit,
+     * seeded streamSeed(seedBase, indices[a], r); otherwise a unit is
+     * one gather round seeded roundSeed(seedBase, r). Either way the
+     * seed carries the GLOBAL round index, so the stream any surviving
+     * image sees is independent of chunking and of which images
+     * remain.
      */
     void runRoundRange(const float *xs, std::size_t stride,
                        const std::uint32_t *indices, std::size_t count,
-                       int r_begin, int r_end,
+                       int r_begin, int r_end, bool per_unit,
                        std::vector<std::int64_t> &raw);
-
-    /** Softmax-average `samples` raw pass outputs (in sample order)
-     *  into `probs` — the same reduction Executor::classify runs. A
-     *  non-null `sample_probs` also receives the samples x outputDim
-     *  per-sample distributions (without changing the mean). */
-    void reduceProbs(const std::vector<std::int64_t> *raw_samples,
-                     std::size_t samples, float *probs,
-                     float *sample_probs = nullptr) const;
-
-    /** The same reduction over PerRound buffers: sample s of `image`
-     *  lives at rounds[s][image * outputDim ...]. */
-    void reduceRoundProbs(
-        const std::vector<std::vector<std::int64_t>> &rounds,
-        std::size_t image, float *probs,
-        float *sample_probs = nullptr) const;
-
-    /** Shared body of classifyBatch / classifyBatchDetailed; either
-     *  output pointer may be null. */
-    std::vector<std::size_t> classifyBatchImpl(const float *xs,
-                                               std::size_t count,
-                                               std::size_t stride,
-                                               float *probs,
-                                               float *sample_probs);
 
     QuantizedProgram program_;
     AcceleratorConfig config_;

@@ -714,12 +714,11 @@ InferenceSession::engineFor(int t)
 }
 
 InferenceResult
-InferenceSession::buildResultImpl(
-    std::uint64_t request_id, const std::size_t *predicted,
-    const float *probs, const float *sample_probs,
-    std::size_t sample_stride, const int *achieved,
-    const accel::McExitReason *reasons, std::size_t first_image,
-    std::size_t count, int t, std::size_t batched_images) const
+InferenceSession::buildResult(std::uint64_t request_id,
+                              const accel::McBatchResult &detailed,
+                              std::size_t first_image,
+                              std::size_t count, int t,
+                              std::size_t batched_images) const
 {
     const std::size_t out_dim = program_.outputDim();
     InferenceResult result;
@@ -730,61 +729,31 @@ InferenceSession::buildResultImpl(
     double total_rounds = 0.0;
     for (std::size_t i = 0; i < count; ++i) {
         const std::size_t image = first_image + i;
-        const float *mean = probs + image * out_dim;
-        const int rounds = achieved ? achieved[image] : t;
+        const float *mean = detailed.probs.data() + image * out_dim;
+        const int rounds = detailed.achieved[image];
         total_rounds += rounds;
         Prediction &p = result.predictions[i];
-        p.predicted = predicted[image];
+        p.predicted = detailed.predicted[image];
         p.probs.assign(mean, mean + out_dim);
         p.entropy = nn::predictiveEntropy(mean, out_dim);
-        if (sample_probs && rounds > 0) {
-            // Only the achieved rows are populated; the stride is the
-            // per-image row capacity (the budget).
+        if (!detailed.sampleProbs.empty() && rounds > 0) {
+            // Only the achieved rows are populated; each image's row
+            // capacity is the budget t.
             p.mutualInformation = nn::mutualInformation(
-                mean, sample_probs + image * sample_stride * out_dim,
+                mean,
+                detailed.sampleProbs.data() +
+                    image * static_cast<std::size_t>(t) * out_dim,
                 static_cast<std::size_t>(rounds), out_dim);
         }
         p.confidence = nn::maxProbability(mean, out_dim);
         if (opts_.topK > 0)
             p.topk = nn::topK(mean, out_dim, opts_.topK);
         p.achievedSamples = rounds;
-        p.exitReason =
-            reasons ? reasons[image] : accel::McExitReason::Budget;
+        p.exitReason = detailed.exitReason[image];
     }
     result.meanRounds =
         count > 0 ? total_rounds / static_cast<double>(count) : 0.0;
     return result;
-}
-
-InferenceResult
-InferenceSession::buildResult(std::uint64_t request_id,
-                              const accel::McBatchResult &detailed,
-                              std::size_t first_image,
-                              std::size_t count, int t,
-                              std::size_t batched_images) const
-{
-    return buildResultImpl(
-        request_id, detailed.predicted.data(), detailed.probs.data(),
-        detailed.sampleProbs.empty() ? nullptr
-                                     : detailed.sampleProbs.data(),
-        static_cast<std::size_t>(t), /*achieved=*/nullptr,
-        /*reasons=*/nullptr, first_image, count, t, batched_images);
-}
-
-InferenceResult
-InferenceSession::buildResult(
-    std::uint64_t request_id,
-    const accel::McAdaptiveBatchResult &detailed,
-    std::size_t first_image, std::size_t count, int t,
-    std::size_t batched_images) const
-{
-    return buildResultImpl(
-        request_id, detailed.predicted.data(), detailed.probs.data(),
-        detailed.sampleProbs.empty() ? nullptr
-                                     : detailed.sampleProbs.data(),
-        static_cast<std::size_t>(t), detailed.achieved.data(),
-        detailed.exitReason.data(), first_image, count, t,
-        batched_images);
 }
 
 accel::McAdaptiveOptions
@@ -796,11 +765,12 @@ InferenceSession::adaptiveOptions(
     aopts.chunk = opts_.adaptive.chunk;
     aopts.test.confidence = opts_.adaptive.confidence;
     aopts.test.minSamples = opts_.adaptive.minSamples;
-    aopts.enabled = true;
+    aopts.enabled = opts_.adaptive.enabled;
     aopts.deadlineSeconds = opts_.adaptive.deadlineSeconds;
     // A member's remaining latency budget bounds the pass itself:
     // anytime mode returns the best-so-far posterior by the tightest
-    // deadline instead of blowing the caller's SLO.
+    // deadline instead of blowing the caller's SLO. With early exit
+    // off the engine ignores the deadline and runs all t rounds.
     if (tightest_deadline_micros > 0) {
         const double budget_s =
             static_cast<double>(tightest_deadline_micros) * 1e-6;
@@ -822,21 +792,13 @@ InferenceSession::run(const InferenceRequest &request)
     const auto start = Clock::now();
 
     std::lock_guard<std::mutex> lock(execMutex_);
-    InferenceResult result;
-    if (opts_.adaptive.enabled) {
-        const auto detailed = engineFor(t).classifyBatchAdaptive(
+    InferenceResult result = buildResult(
+        id,
+        engineFor(t).classifyBatchAdaptive(
             request.data(), request.count, request.dim,
             adaptiveOptions(t, effectiveDeadline(request)),
-            opts_.uncertainty);
-        result = buildResult(id, detailed, 0, request.count, t,
-                             request.count);
-    } else {
-        const auto detailed = engineFor(t).classifyBatchDetailed(
-            request.data(), request.count, request.dim,
-            opts_.uncertainty);
-        result = buildResult(id, detailed, 0, request.count, t,
-                             request.count);
-    }
+            opts_.uncertainty),
+        0, request.count, t, request.count);
     result.micros = microsSince(start);
     observePassMicros(t, result.micros);
 
@@ -1047,20 +1009,6 @@ InferenceSession::executePass(std::vector<Queued> &items, int t,
     }
 
     std::lock_guard<std::mutex> lock(execMutex_);
-    // Either engine path yields per-image outputs independent of the
-    // batch composition, so fulfilling per-request slices of one
-    // coalesced pass is exact.
-    auto fulfill = [&](const auto &detailed) {
-        std::size_t first = 0;
-        for (auto &item : items) {
-            InferenceResult result =
-                buildResult(item.request.id, detailed, first,
-                            item.request.count, t, total_images);
-            result.micros = microsSince(item.enqueued);
-            first += item.request.count;
-            item.pending->fulfill(std::move(result));
-        }
-    };
     const auto pass_start = Clock::now();
     // Publish the pass start so the server's watchdog can measure how
     // long this pass has been running (wedge detection).
@@ -1071,31 +1019,36 @@ InferenceSession::executePass(std::vector<Queued> &items, int t,
         std::this_thread::sleep_for(std::chrono::milliseconds(
             fault::fireDelayMillis("serve.pass.stuck", 200)));
     }
-    if (opts_.adaptive.enabled) {
-        // The tightest remaining member budget bounds the pass
-        // (anytime mode) — waiting in the queue ate into it.
-        std::int64_t tightest = 0;
-        for (const auto &item : items) {
-            const std::int64_t deadline =
-                effectiveDeadline(item.request);
-            if (deadline <= 0)
-                continue;
-            const std::int64_t waited = static_cast<std::int64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    pass_start - item.enqueued)
-                    .count());
-            const std::int64_t remaining =
-                std::max<std::int64_t>(deadline - waited, 1);
-            tightest = tightest == 0
-                           ? remaining
-                           : std::min(tightest, remaining);
-        }
-        fulfill(engineFor(t).classifyBatchAdaptive(
-            xs, total_images, dim, adaptiveOptions(t, tightest),
-            opts_.uncertainty));
-    } else {
-        fulfill(engineFor(t).classifyBatchDetailed(
-            xs, total_images, dim, opts_.uncertainty));
+    // The tightest remaining member budget bounds an early-exit pass
+    // (anytime mode) — waiting in the queue ate into it.
+    std::int64_t tightest = 0;
+    for (const auto &item : items) {
+        const std::int64_t deadline = effectiveDeadline(item.request);
+        if (deadline <= 0)
+            continue;
+        const std::int64_t waited = static_cast<std::int64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                pass_start - item.enqueued)
+                .count());
+        const std::int64_t remaining =
+            std::max<std::int64_t>(deadline - waited, 1);
+        tightest = tightest == 0 ? remaining
+                                 : std::min(tightest, remaining);
+    }
+    const auto detailed = engineFor(t).classifyBatchAdaptive(
+        xs, total_images, dim, adaptiveOptions(t, tightest),
+        opts_.uncertainty);
+    // Per-image outputs are independent of the batch composition on
+    // every coalesced path, so fulfilling per-request slices of one
+    // pass is exact.
+    std::size_t first = 0;
+    for (auto &item : items) {
+        InferenceResult result =
+            buildResult(item.request.id, detailed, first,
+                        item.request.count, t, total_images);
+        result.micros = microsSince(item.enqueued);
+        first += item.request.count;
+        item.pending->fulfill(std::move(result));
     }
     passStartMicros_.store(0, std::memory_order_release);
     observePassMicros(t, microsSince(pass_start));

@@ -479,36 +479,19 @@ class InferenceSession
      *  the deadline-aware coalescer kept open before dispatch. */
     void executePass(std::vector<Queued> &items, int t, bool held);
 
-    /** Decorate one image range of an engine result. `sample_stride`
-     *  is the per-image row capacity of `sample_probs` (the budget);
-     *  `achieved` / `reasons` are per-image across the whole pass and
-     *  may be null (fixed-T: every image ran exactly `t` rounds). */
-    InferenceResult buildResultImpl(
-        std::uint64_t request_id, const std::size_t *predicted,
-        const float *probs, const float *sample_probs,
-        std::size_t sample_stride, const int *achieved,
-        const accel::McExitReason *reasons, std::size_t first_image,
-        std::size_t count, int t, std::size_t batched_images) const;
-
-    /** Decorate one image range of a detailed engine result. */
+    /** Decorate one image range [first_image, first_image + count)
+     *  of an engine result whose round budget is `t`. */
     InferenceResult buildResult(std::uint64_t request_id,
                                 const accel::McBatchResult &detailed,
                                 std::size_t first_image,
                                 std::size_t count, int t,
                                 std::size_t batched_images) const;
 
-    /** Same over an adaptive early-exit result. */
-    InferenceResult buildResult(
-        std::uint64_t request_id,
-        const accel::McAdaptiveBatchResult &detailed,
-        std::size_t first_image, std::size_t count, int t,
-        std::size_t batched_images) const;
-
-    /** The engine-facing adaptive options resolved from
-     *  opts_.adaptive with budget `t`. `tightest_deadline_micros` is
-     *  the smallest remaining member latency budget (0 = none): it
-     *  caps the pass's anytime wall-clock deadline, integrating the
-     *  request budget with the PR 7 anytime path. */
+    /** The engine options resolved from opts_.adaptive with budget
+     *  `t`; early exit is on only when the policy enables it.
+     *  `tightest_deadline_micros` is the smallest remaining member
+     *  latency budget (0 = none): with early exit on it caps the
+     *  pass's anytime wall-clock deadline. */
     accel::McAdaptiveOptions adaptiveOptions(
         int t, std::int64_t tightest_deadline_micros) const;
 

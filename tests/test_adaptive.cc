@@ -121,6 +121,40 @@ TEST(AdaptiveMc, ThresholdOffReproducesFixedTBitExactly)
                      static_cast<double>(config.mcSamples));
 }
 
+TEST(AdaptiveMc, EarlyExitOffIgnoresDeadline)
+{
+    // With early exit off the whole budget is one increment, so an
+    // already-expired deadline (and the chunk size) must not cut it
+    // short: the session passes deadline-bearing options on every
+    // call, fixed-T passes included.
+    const auto config = smallConfig(8);
+    const auto program = mlpProgram(config, 19);
+    const std::size_t count = 5, dim = program.inputDim();
+    const auto xs = randomBatch(count, dim, 43);
+
+    McAdaptiveOptions off;
+    off.enabled = false;
+    off.chunk = 2;
+    McEngine engine(program, config, batchedEngineConfig(2));
+    const auto plain =
+        engine.classifyBatchAdaptive(xs.data(), count, dim, off);
+    off.deadlineSeconds = 1e-9;
+    McEngine rushed_engine(program, config, batchedEngineConfig(2));
+    const auto rushed =
+        rushed_engine.classifyBatchAdaptive(xs.data(), count, dim, off);
+
+    for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(rushed.achieved[i], config.mcSamples) << "image " << i;
+        EXPECT_EQ(rushed.exitReason[i], McExitReason::Budget)
+            << "image " << i;
+    }
+    EXPECT_EQ(rushed.predicted, plain.predicted);
+    EXPECT_EQ(rushed.probs, plain.probs);
+    EXPECT_EQ(rushed.sampleProbs, plain.sampleProbs);
+    EXPECT_DOUBLE_EQ(rushed.meanRounds,
+                     static_cast<double>(config.mcSamples));
+}
+
 TEST(AdaptiveMc, BitIdenticalAcrossThreadCounts)
 {
     const auto config = smallConfig(24);
@@ -132,7 +166,7 @@ TEST(AdaptiveMc, BitIdenticalAcrossThreadCounts)
     opts.chunk = 3;
     opts.test.confidence = 0.99;
 
-    McAdaptiveBatchResult results[3];
+    McBatchResult results[3];
     const std::size_t thread_counts[3] = {1, 2, 5};
     for (int i = 0; i < 3; ++i) {
         McEngine engine(program, config,
@@ -325,6 +359,11 @@ TEST(AdaptiveMc, RequiresBatchedRoundsBackend)
     mc.backendId = "functional"; // per-image fallback stream
     mc.schedule = McSchedule::PerRound;
     McEngine engine(program, config, mc);
+    // Earlier tests leave the global pool's workers running. A forked
+    // death-test child inherits none of them, so fatal()'s exit-time
+    // pool teardown can block on a mutex a worker held at the fork;
+    // re-executing the binary for the child avoids that.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH((void)engine.classifyBatchAdaptive(
                      xs.data(), 2, program.inputDim(),
                      McAdaptiveOptions{}),

@@ -28,6 +28,7 @@
 #include "data/synth_mnist.hh"
 #include "grng/registry.hh"
 #include "nn/activations.hh"
+#include "stats/sequential_test.hh"
 
 using namespace vibnn;
 using namespace vibnn::accel;
@@ -134,10 +135,10 @@ TEST(ExecutorSeam, FidelityBackendsBitExactThroughInterface)
 
 TEST(ExecutorSeam, SharedClassifyMatchesManualEnsemble)
 {
-    // Executor::classify is the one MC-ensemble reduction every
-    // backend inherits; it must equal the manual
-    // mcSamples-passes-softmax-average loop exactly (the pre-seam
-    // Simulator::classify/FunctionalRunner::classify body).
+    // Executor::classify is the MC-ensemble reduction every backend
+    // inherits — McEngine's: each pass's softmax accumulated in double
+    // in sample order by a SequentialPosteriorTest. It must equal that
+    // accumulation driven by hand exactly.
     const auto config = smallConfig(5);
     const auto program = mlpProgram(config, 7);
     const auto x = randomBatch(1, program.inputDim(), 17);
@@ -152,7 +153,7 @@ TEST(ExecutorSeam, SharedClassifyMatchesManualEnsemble)
 
     FunctionalRunner manual(program, config, gen_b.get());
     const std::size_t out_dim = program.outputDim();
-    std::vector<float> acc(out_dim, 0.0f);
+    stats::SequentialPosteriorTest ensemble(out_dim);
     std::vector<float> logits(out_dim);
     for (int s = 0; s < config.mcSamples; ++s) {
         const auto raw = manual.runPass(x.data());
@@ -160,18 +161,14 @@ TEST(ExecutorSeam, SharedClassifyMatchesManualEnsemble)
             logits[i] = static_cast<float>(
                 program.activationFormat.toReal(raw[i]));
         nn::softmax(logits.data(), out_dim);
-        for (std::size_t i = 0; i < out_dim; ++i)
-            acc[i] += logits[i];
+        ensemble.add(logits.data());
     }
-    for (auto &p : acc)
-        p /= static_cast<float>(config.mcSamples);
+    std::vector<float> mean(out_dim);
+    ensemble.mean(mean.data());
 
-    EXPECT_EQ(predicted,
-              static_cast<std::size_t>(
-                  std::max_element(acc.begin(), acc.end()) -
-                  acc.begin()));
+    EXPECT_EQ(predicted, ensemble.predicted());
     for (std::size_t i = 0; i < out_dim; ++i)
-        EXPECT_EQ(probs[i], acc[i]) << "class " << i;
+        EXPECT_EQ(probs[i], mean[i]) << "class " << i;
 }
 
 TEST(ExecutorSeam, DefaultRoundBatchIsPerImageFreshSamplePasses)
@@ -302,18 +299,24 @@ TEST(McEngineRound, MatchesSerialRoundSeedScheduleEmulation)
     mc.backendId = "batched";
     mc.schedule = McSchedule::PerRound;
     McEngine engine(program, config, mc);
-    const McResult parallel = engine.classifyDetailed(x.data());
-    ASSERT_EQ(parallel.rawSamples.size(), 6u);
+    const auto parallel =
+        engine.classifyBatchDetailed(x.data(), 1, program.inputDim());
+    const std::size_t out_dim = program.outputDim();
+    ASSERT_EQ(parallel.sampleProbs.size(), 6u * out_dim);
 
     auto placeholder = grng::makeGenerator("rlf", 1);
     BatchedRunner serial(program, config, placeholder.get());
+    std::vector<float> want(out_dim);
     for (int r = 0; r < config.mcSamples; ++r) {
         auto gen = grng::makeGenerator(
             "rlf", McEngine::roundSeed(97,
                                        static_cast<std::uint64_t>(r)));
         serial.setGenerator(gen.get());
-        const auto raw = serial.runPass(x.data());
-        EXPECT_EQ(raw, parallel.rawSamples[r]) << "round " << r;
+        sampleSoftmax(program, serial.runPass(x.data()).data(),
+                      want.data());
+        const auto row = parallel.sampleProbs.begin() + r * out_dim;
+        EXPECT_EQ(want, std::vector<float>(row, row + out_dim))
+            << "round " << r;
         serial.setGenerator(placeholder.get());
     }
 }
@@ -335,9 +338,10 @@ TEST(McEngineRound, BitIdenticalAcrossThreadCounts)
         mc.backendId = "batched";
         mc.schedule = McSchedule::PerRound;
         McEngine engine(program, config, mc);
-        probs[i].resize(count * program.outputDim());
-        preds[i] = engine.classifyBatch(xs.data(), count, dim,
-                                        probs[i].data());
+        auto result = engine.classifyBatchDetailed(xs.data(), count, dim,
+                                                   false);
+        preds[i] = std::move(result.predicted);
+        probs[i] = std::move(result.probs);
     }
     for (int i = 1; i < 3; ++i) {
         EXPECT_EQ(preds[i], preds[0]) << "threads="
@@ -346,6 +350,62 @@ TEST(McEngineRound, BitIdenticalAcrossThreadCounts)
         for (std::size_t j = 0; j < probs[0].size(); ++j)
             EXPECT_EQ(probs[i][j], probs[0][j])
                 << "threads=" << thread_counts[i] << " prob " << j;
+    }
+}
+
+TEST(McEngineRound, FixedTRoundsOnFallbackBackendMatchSerialRounds)
+{
+    // A PerRound engine on a backend without batchedRounds reaches the
+    // base runRoundBatchGather copy fallback: round r is one
+    // fresh-sample pass per image, in image order, off the stream
+    // seeded roundSeed(seedBase, r). Two replicas over a 4-image batch
+    // must equal runRoundBatch on one serial FunctionalRunner.
+    const auto config = smallConfig(5);
+    const auto program = mlpProgram(config, 137);
+    const std::size_t count = 4, dim = program.inputDim();
+    const std::size_t out_dim = program.outputDim();
+    const auto xs = randomBatch(count, dim, 139);
+
+    McEngineConfig mc;
+    mc.threads = 2;
+    mc.seedBase = 149;
+    mc.backendId = "functional";
+    mc.schedule = McSchedule::PerRound;
+    McEngine engine(program, config, mc);
+    const auto parallel = engine.classifyBatchDetailed(xs.data(), count,
+                                                       dim);
+
+    auto placeholder = grng::makeGenerator("rlf", 1);
+    FunctionalRunner serial(program, config, placeholder.get());
+    std::vector<stats::SequentialPosteriorTest> ensembles(
+        count, stats::SequentialPosteriorTest(out_dim));
+    std::vector<std::int64_t> raw(count * out_dim);
+    std::vector<float> sample(out_dim);
+    for (int r = 0; r < config.mcSamples; ++r) {
+        auto gen = grng::makeGenerator(
+            "rlf", McEngine::roundSeed(149,
+                                       static_cast<std::uint64_t>(r)));
+        serial.setGenerator(gen.get());
+        serial.runRoundBatch(xs.data(), count, dim, raw.data());
+        serial.setGenerator(placeholder.get());
+        for (std::size_t i = 0; i < count; ++i) {
+            sampleSoftmax(program, raw.data() + i * out_dim,
+                          sample.data());
+            ensembles[i].add(sample.data());
+            const auto row = parallel.sampleProbs.begin() +
+                (i * config.mcSamples + r) * out_dim;
+            EXPECT_EQ(sample, std::vector<float>(row, row + out_dim))
+                << "image " << i << " round " << r;
+        }
+    }
+    std::vector<float> mean(out_dim);
+    for (std::size_t i = 0; i < count; ++i) {
+        ensembles[i].mean(mean.data());
+        EXPECT_EQ(parallel.predicted[i], ensembles[i].predicted())
+            << "image " << i;
+        for (std::size_t c = 0; c < out_dim; ++c)
+            EXPECT_EQ(parallel.probs[i * out_dim + c], mean[c])
+                << "image " << i << " class " << c;
     }
 }
 
@@ -377,18 +437,18 @@ TEST(McEngineRound, StatisticallyEquivalentToPerUnitAtMatchedT)
     fid.backendId = "functional";
     fid.schedule = McSchedule::PerUnit;
     McEngine fidelity(program, config, fid);
-    std::vector<float> fid_probs(view.count * program.outputDim());
-    fidelity.classifyBatch(view.features, view.count, view.dim,
-                           fid_probs.data());
+    const auto fid_result = fidelity.classifyBatchDetailed(
+        view.features, view.count, view.dim, false);
+    const auto &fid_probs = fid_result.probs;
 
     McEngineConfig thr;
     thr.seedBase = 131;
     thr.backendId = "batched";
     thr.schedule = McSchedule::PerRound;
     McEngine throughput(program, config, thr);
-    std::vector<float> thr_probs(view.count * program.outputDim());
-    throughput.classifyBatch(view.features, view.count, view.dim,
-                             thr_probs.data());
+    const auto thr_result = throughput.classifyBatchDetailed(
+        view.features, view.count, view.dim, false);
+    const auto &thr_probs = thr_result.probs;
 
     double total_abs = 0.0;
     float max_abs = 0.0f;

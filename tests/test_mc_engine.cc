@@ -55,30 +55,34 @@ TEST(McEngine, MatchesSerialSeedScheduleEmulation)
 {
     // Every (image, sample) unit runs with the stream seeded by
     // streamSeed(); replaying that schedule on one serial Simulator
-    // must reproduce the engine's per-sample raw outputs bit for bit —
-    // the "parallel classify matches serial classify" contract.
+    // must reproduce the engine's per-sample distributions bit for
+    // bit — the "parallel classify matches serial classify" contract.
     auto net = makeNet({32, 16, 4}, 3);
     const auto config = smallConfig(6);
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
+    const std::size_t out_dim = program.outputDim();
     const auto x = makeInput(32, 11);
 
     McEngineConfig mc;
     mc.threads = 3;
     mc.generatorId = "rlf";
     mc.seedBase = 77;
-    McEngine engine(q, config, mc);
-    const McResult parallel = engine.classifyDetailed(x.data());
-    ASSERT_EQ(parallel.rawSamples.size(), 6u);
+    McEngine engine(program, config, mc);
+    const auto parallel = engine.classifyBatchDetailed(x.data(), 1, 32);
+    ASSERT_EQ(parallel.sampleProbs.size(), 6u * out_dim);
 
     auto placeholder = grng::makeGenerator("rlf", 1);
-    Simulator sim(q, config, placeholder.get());
+    Simulator sim(program, config, placeholder.get());
+    std::vector<float> want(out_dim);
     for (int s = 0; s < config.mcSamples; ++s) {
         auto gen = grng::makeGenerator(
             "rlf", McEngine::streamSeed(77, 0,
                                         static_cast<std::uint64_t>(s)));
         sim.setGenerator(gen.get());
-        const auto raw = sim.runPass(x.data());
-        EXPECT_EQ(raw, parallel.rawSamples[s]) << "sample " << s;
+        sampleSoftmax(program, sim.runPass(x.data()).data(), want.data());
+        const auto row = parallel.sampleProbs.begin() + s * out_dim;
+        EXPECT_EQ(want, std::vector<float>(row, row + out_dim))
+            << "sample " << s;
         sim.setGenerator(placeholder.get());
     }
 }
@@ -87,30 +91,31 @@ TEST(McEngine, BitIdenticalAcrossThreadCounts)
 {
     auto net = makeNet({32, 16, 4}, 5);
     const auto config = smallConfig(8);
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     const auto x = makeInput(32, 13);
 
     McEngineConfig mc;
     mc.generatorId = "bnnwallace";
     mc.seedBase = 123;
 
-    McResult results[3];
+    McBatchResult results[3];
     const std::size_t thread_counts[3] = {1, 2, 5};
     for (int i = 0; i < 3; ++i) {
         auto cfg = mc;
         cfg.threads = thread_counts[i];
-        McEngine engine(q, config, cfg);
-        results[i] = engine.classifyDetailed(x.data());
+        McEngine engine(program, config, cfg);
+        results[i] = engine.classifyBatchDetailed(x.data(), 1, 32);
     }
 
     for (int i = 1; i < 3; ++i) {
         EXPECT_EQ(results[i].predicted, results[0].predicted);
-        ASSERT_EQ(results[i].rawSamples.size(),
-                  results[0].rawSamples.size());
-        for (std::size_t s = 0; s < results[0].rawSamples.size(); ++s)
-            EXPECT_EQ(results[i].rawSamples[s],
-                      results[0].rawSamples[s])
-                << "threads=" << thread_counts[i] << " sample " << s;
+        ASSERT_EQ(results[i].sampleProbs.size(),
+                  results[0].sampleProbs.size());
+        for (std::size_t j = 0; j < results[0].sampleProbs.size(); ++j)
+            EXPECT_EQ(results[i].sampleProbs[j],
+                      results[0].sampleProbs[j])
+                << "threads=" << thread_counts[i] << " sample prob "
+                << j;
         ASSERT_EQ(results[i].probs.size(), results[0].probs.size());
         for (std::size_t c = 0; c < results[0].probs.size(); ++c)
             EXPECT_EQ(results[i].probs[c], results[0].probs[c])
@@ -122,7 +127,7 @@ TEST(McEngine, BatchBitIdenticalAcrossThreadCounts)
 {
     auto net = makeNet({32, 16, 4}, 7);
     const auto config = smallConfig(4);
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
 
     const std::size_t count = 5, dim = 32;
     std::vector<float> xs(count * dim);
@@ -137,10 +142,11 @@ TEST(McEngine, BatchBitIdenticalAcrossThreadCounts)
         McEngineConfig mc;
         mc.threads = thread_counts[i];
         mc.seedBase = 9;
-        McEngine engine(q, config, mc);
-        probs[i].resize(count * q.outputDim());
-        preds[i] = engine.classifyBatch(xs.data(), count, dim,
-                                        probs[i].data());
+        McEngine engine(program, config, mc);
+        auto result = engine.classifyBatchDetailed(xs.data(), count, dim,
+                                                   false);
+        preds[i] = std::move(result.predicted);
+        probs[i] = std::move(result.probs);
     }
     EXPECT_EQ(preds[0], preds[1]);
     for (std::size_t i = 0; i < probs[0].size(); ++i)
@@ -150,28 +156,23 @@ TEST(McEngine, BatchBitIdenticalAcrossThreadCounts)
 TEST(McEngine, BatchImageZeroMatchesSingleClassify)
 {
     // Image index 0 of a batch uses the same stream seeds as a
-    // single-image classify, so the two must agree exactly.
+    // single-image batch, so the two must agree exactly.
     auto net = makeNet({32, 16, 4}, 19);
     const auto config = smallConfig(4);
-    const auto q = quantizeNetwork(net, config);
-    const auto x = makeInput(32, 23);
+    const auto program = compile(net, config);
+    const auto xs = makeInput(3 * 32, 23);
 
     McEngineConfig mc;
     mc.threads = 2;
     mc.seedBase = 31;
-    McEngine engine(q, config, mc);
+    McEngine engine(program, config, mc);
+    const auto single = engine.classifyBatchDetailed(xs.data(), 1, 32);
 
-    std::vector<float> single_probs(q.outputDim());
-    const std::size_t single = engine.classify(x.data(),
-                                               single_probs.data());
-
-    McEngine batch_engine(q, config, mc);
-    std::vector<float> batch_probs(q.outputDim());
-    const auto preds = batch_engine.classifyBatch(x.data(), 1, 32,
-                                                  batch_probs.data());
-    EXPECT_EQ(preds.front(), single);
-    for (std::size_t i = 0; i < single_probs.size(); ++i)
-        EXPECT_EQ(batch_probs[i], single_probs[i]);
+    McEngine batch_engine(program, config, mc);
+    const auto batch = batch_engine.classifyBatchDetailed(xs.data(), 3, 32);
+    EXPECT_EQ(batch.predicted.front(), single.predicted.front());
+    for (std::size_t i = 0; i < single.probs.size(); ++i)
+        EXPECT_EQ(batch.probs[i], single.probs[i]);
 }
 
 TEST(McEngine, AggregateCountersMatchSerialClassify)
@@ -181,18 +182,18 @@ TEST(McEngine, AggregateCountersMatchSerialClassify)
     // exactly what a serial Simulator::classify reports.
     auto net = makeNet({32, 16, 4}, 29);
     const auto config = smallConfig(5);
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     const auto x = makeInput(32, 37);
 
     auto gen = grng::makeGenerator("rlf", 41);
-    Simulator serial(q, config, gen.get());
+    Simulator serial(program, config, gen.get());
     serial.classify(x.data());
 
     McEngineConfig mc;
     mc.threads = 3;
     mc.seedBase = 43;
-    McEngine engine(q, config, mc);
-    engine.classify(x.data());
+    McEngine engine(program, config, mc);
+    engine.classifyBatchDetailed(x.data(), 1, 32);
     const CycleStats merged = engine.stats();
 
     EXPECT_EQ(merged.grnSamples, serial.stats().grnSamples);
@@ -219,11 +220,11 @@ TEST(McEngine, SigmaZeroMatchesSerialClassifyExactly)
     config.peSets = 1;
     config.pesPerSet = 4;
     config.mcSamples = 3;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     const auto x = makeInput(16, 53);
 
     auto gen = grng::makeGenerator("rlf", 59);
-    Simulator serial(q, config, gen.get());
+    Simulator serial(program, config, gen.get());
     std::vector<float> serial_probs(3);
     const std::size_t serial_pred =
         serial.classify(x.data(), serial_probs.data());
@@ -231,14 +232,14 @@ TEST(McEngine, SigmaZeroMatchesSerialClassifyExactly)
     McEngineConfig mc;
     mc.threads = 2;
     mc.seedBase = 61;
-    McEngine engine(q, config, mc);
-    std::vector<float> engine_probs(3);
-    const std::size_t engine_pred =
-        engine.classify(x.data(), engine_probs.data());
+    McEngine engine(program, config, mc);
+    const auto engine_result = engine.classifyBatchDetailed(x.data(), 1, 16);
 
-    EXPECT_EQ(engine_pred, serial_pred);
+    // One reduction on both sides: identical per-pass softmaxes summed
+    // in the same order give identical bits.
+    EXPECT_EQ(engine_result.predicted.front(), serial_pred);
     for (int i = 0; i < 3; ++i)
-        EXPECT_FLOAT_EQ(engine_probs[i], serial_probs[i]);
+        EXPECT_EQ(engine_result.probs[i], serial_probs[i]);
 }
 
 TEST(McEngine, ProbabilitiesNearSerialClassify)
@@ -249,20 +250,20 @@ TEST(McEngine, ProbabilitiesNearSerialClassify)
     // stream-handling bugs (reused or skipped samples), not MC noise.
     auto net = makeNet({32, 16, 4}, 67);
     const auto config = smallConfig(32);
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     const auto x = makeInput(32, 71);
 
     auto gen = grng::makeGenerator("rlf", 73);
-    Simulator serial(q, config, gen.get());
+    Simulator serial(program, config, gen.get());
     std::vector<float> serial_probs(4);
     serial.classify(x.data(), serial_probs.data());
 
     McEngineConfig mc;
     mc.threads = 2;
     mc.seedBase = 79;
-    McEngine engine(q, config, mc);
-    std::vector<float> engine_probs(4);
-    engine.classify(x.data(), engine_probs.data());
+    McEngine engine(program, config, mc);
+    const auto engine_probs =
+        engine.classifyBatchDetailed(x.data(), 1, 32).probs;
 
     for (int i = 0; i < 4; ++i)
         EXPECT_NEAR(engine_probs[i], serial_probs[i], 0.2f) << "class "
@@ -273,18 +274,18 @@ TEST(McEngine, RepeatedRunsAreDeterministic)
 {
     auto net = makeNet({32, 16, 4}, 83);
     const auto config = smallConfig(4);
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     const auto x = makeInput(32, 89);
 
     McEngineConfig mc;
     mc.threads = 0; // size from the global pool
     mc.seedBase = 97;
-    McEngine engine(q, config, mc);
-    const McResult a = engine.classifyDetailed(x.data());
-    const McResult b = engine.classifyDetailed(x.data());
+    McEngine engine(program, config, mc);
+    const auto a = engine.classifyBatchDetailed(x.data(), 1, 32);
+    const auto b = engine.classifyBatchDetailed(x.data(), 1, 32);
     EXPECT_EQ(a.predicted, b.predicted);
-    for (std::size_t s = 0; s < a.rawSamples.size(); ++s)
-        EXPECT_EQ(a.rawSamples[s], b.rawSamples[s]);
+    ASSERT_EQ(a.sampleProbs.size(), 4u * program.outputDim());
+    EXPECT_EQ(a.sampleProbs, b.sampleProbs);
     for (std::size_t i = 0; i < a.probs.size(); ++i)
         EXPECT_EQ(a.probs[i], b.probs[i]);
 }

@@ -351,22 +351,25 @@ TEST(ProgramExecution, McEngineCnnThreadCountInvariance)
     const auto program = compile(net, config);
     const auto x = randomImage(program.inputDim(), 79);
 
-    McResult results[3];
+    McBatchResult results[3];
     const std::size_t thread_counts[3] = {1, 2, 5};
     for (int i = 0; i < 3; ++i) {
         McEngineConfig mc;
         mc.threads = thread_counts[i];
         mc.seedBase = 83;
         McEngine engine(program, config, mc);
-        results[i] = engine.classifyDetailed(x.data());
+        results[i] =
+            engine.classifyBatchDetailed(x.data(), 1, program.inputDim());
     }
     for (int i = 1; i < 3; ++i) {
         EXPECT_EQ(results[i].predicted, results[0].predicted);
-        ASSERT_EQ(results[i].rawSamples.size(),
-                  results[0].rawSamples.size());
-        for (std::size_t s = 0; s < results[0].rawSamples.size(); ++s)
-            EXPECT_EQ(results[i].rawSamples[s], results[0].rawSamples[s])
-                << "threads=" << thread_counts[i] << " sample " << s;
+        ASSERT_EQ(results[i].sampleProbs.size(),
+                  results[0].sampleProbs.size());
+        for (std::size_t j = 0; j < results[0].sampleProbs.size(); ++j)
+            EXPECT_EQ(results[i].sampleProbs[j],
+                      results[0].sampleProbs[j])
+                << "threads=" << thread_counts[i] << " sample prob "
+                << j;
         ASSERT_EQ(results[i].probs.size(), results[0].probs.size());
         for (std::size_t c = 0; c < results[0].probs.size(); ++c)
             EXPECT_EQ(results[i].probs[c], results[0].probs[c])

@@ -168,9 +168,10 @@ TEST(InferenceSession, MatchesRawEngineInBothModes)
         mc.backendId = c.backend;
         mc.schedule = c.schedule;
         accel::McEngine engine(program, config, mc);
-        std::vector<float> probs(count * program.outputDim());
-        const auto preds = engine.classifyBatch(xs.data(), count, dim,
-                                                probs.data());
+        const auto engine_result =
+            engine.classifyBatchDetailed(xs.data(), count, dim, false);
+        const auto &preds = engine_result.predicted;
+        const auto &probs = engine_result.probs;
 
         ASSERT_EQ(result.predictions.size(), count);
         EXPECT_EQ(result.predictedClasses(), preds);

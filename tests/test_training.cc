@@ -438,8 +438,9 @@ TEST(Qat, CompiledProgramAccuracyAtLeastPostHoc)
         mc.backendId = "batched";
         mc.schedule = accel::McSchedule::PerRound;
         accel::McEngine engine(program, config, mc);
-        const auto preds = engine.classifyBatch(test.features,
-                                                test.count, test.dim);
+        const auto result = engine.classifyBatchDetailed(
+            test.features, test.count, test.dim, false);
+        const auto &preds = result.predicted;
         std::size_t correct = 0;
         for (std::size_t i = 0; i < test.count; ++i)
             correct += preds[i] ==
