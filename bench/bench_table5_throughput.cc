@@ -43,11 +43,11 @@ main()
     Rng rng(envSeed());
     bnn::BayesianMlp net({784, 200, 200, 10}, rng);
     accel::AcceleratorConfig config; // 16 x 8 x 8 @ 8-bit
-    const auto quantized = accel::quantizeNetwork(net, config);
+    const auto timing_program = accel::compile(net, config);
 
     // --- FPGA: cycle-level simulation ---------------------------------
     auto gen = grng::makeGenerator("rlf", envSeed());
-    accel::Simulator sim(quantized, config, gen.get());
+    accel::Simulator sim(timing_program, config, gen.get());
     std::vector<float> image(784, 0.5f);
     const std::size_t sim_images = scaledCount(20);
     for (std::size_t i = 0; i < sim_images; ++i)
@@ -125,7 +125,7 @@ main()
         v = static_cast<float>(batch_rng.uniform());
 
     auto serial_gen = grng::makeGenerator("rlf", envSeed());
-    accel::Simulator serial_sim(quantized, config, serial_gen.get());
+    accel::Simulator serial_sim(timing_program, config, serial_gen.get());
     bench::Stopwatch serial_clock;
     for (std::size_t i = 0; i < mc_images; ++i)
         serial_sim.classify(batch.data() + i * 784);
@@ -136,7 +136,7 @@ main()
     accel::McEngineConfig mc;
     mc.generatorId = "rlf";
     mc.seedBase = envSeed();
-    accel::McEngine engine(accel::compile(net, config), config, mc);
+    accel::McEngine engine(timing_program, config, mc);
     // Replica construction happens on first use; classify one image
     // outside the timed region so the measurement is steady-state.
     engine.classifyBatchDetailed(batch.data(), 1, 784, false);

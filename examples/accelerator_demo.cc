@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "accel/program.hh"
 #include "accel/simulator.hh"
 #include "bnn/bayesian_mlp.hh"
 #include "grng/registry.hh"
@@ -26,9 +27,9 @@ main()
     bnn::BayesianMlp net({784, 200, 200, 10}, rng);
 
     accel::AcceleratorConfig config; // the paper's 16x8x8 @ 8 bits
-    const auto quantized = accel::quantizeNetwork(net, config);
+    const auto program = accel::compile(net, config);
     auto grng_instance = grng::makeGenerator("rlf", 7);
-    accel::Simulator sim(quantized, config, grng_instance.get());
+    accel::Simulator sim(program, config, grng_instance.get());
 
     std::vector<float> image(784, 0.5f);
     sim.runPass(image.data());

@@ -21,6 +21,7 @@
  *
  * Run:  ./build/examples/bayesian_lenet
  * Knobs: VIBNN_SCALE (dataset size multiplier), VIBNN_SEED.
+ * Exits 1 when the reload or the simulator-vs-functional check fails.
  */
 
 #include <cstdio>
@@ -113,16 +114,21 @@ main()
                 clean_entropy / probes, noisy_entropy / probes);
 
     // 4. Deployment hand-off: save, reload, verify.
+    int failures = 0;
     const char *path = "/tmp/vibnn_bayesian_lenet.bin";
     if (core::saveBayesianConvNet(bcnn, path)) {
         auto reloaded = core::loadBayesianConvNet(path);
         if (reloaded) {
             const double racc = evaluateBcnnAccuracy(
                 *reloaded, dataset.test.view(), 8, seed + 5);
+            failures += racc != acc;
             std::printf("reloaded from %s: accuracy %.2f%% "
                         "(%s)\n",
                         path, 100 * racc,
                         racc == acc ? "bit-exact" : "MISMATCH");
+        } else {
+            ++failures;
+            std::printf("reload from %s FAILED\n", path);
         }
     }
 
@@ -163,6 +169,7 @@ main()
                 sim->runPass(dataset.test.sample(i)) ==
                     fun->runPass(dataset.test.sample(i));
         }
+        failures += !exact;
         std::printf("  simulator vs functional path: %s\n",
                     exact ? "bit-exact" : "MISMATCH");
     }
@@ -199,5 +206,5 @@ main()
     std::printf("  throughput mode (weight reuse, MC-8 rounds): "
                 "%.2f%% accuracy, %.1fx faster than fidelity mode\n",
                 100 * thr_acc, fid_seconds / thr_seconds);
-    return 0;
+    return failures == 0 ? 0 : 1;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "accel/program.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 
@@ -27,12 +26,14 @@ AcceleratorConfig::epsFormat() const
     return {8, 5};
 }
 
-void
-AcceleratorConfig::validate(
+std::string
+AcceleratorConfig::constraintViolation(
     const std::vector<std::size_t> &layer_sizes) const
 {
-    VIBNN_ASSERT(peSets >= 1 && pesPerSet >= 1, "degenerate geometry");
-    VIBNN_ASSERT(bits >= 2 && bits <= 16, "operand width out of range");
+    if (peSets < 1 || pesPerSet < 1)
+        return "degenerate geometry";
+    if (bits < 2 || bits > 16)
+        return "operand width out of range [2, 16]";
 
     // Equation (15b): the per-set WPMem word B*N*S must fit the
     // device's maximum word size (we take MaxWS = 1024 bits, a
@@ -40,8 +41,8 @@ AcceleratorConfig::validate(
     constexpr int max_ws = 1024;
     const int word = bits * peInputs() * pesPerSet;
     if (word > max_ws) {
-        fatal(strfmt("WPMem word %d exceeds MaxWS %d (equation 15b)",
-                     word, max_ws));
+        return strfmt("WPMem word %d exceeds MaxWS %d (equation 15b)",
+                      word, max_ws);
     }
 
     // Write-drain feasibility: each round produces T words for the
@@ -56,57 +57,20 @@ AcceleratorConfig::validate(
     const std::size_t chunks =
         (min_in + peInputs() - 1) / peInputs();
     if (static_cast<std::size_t>(peSets) > chunks) {
-        fatal(strfmt("PE sets (%d) exceed min rounds-per-layer (%zu); "
-                     "IFMem write-back cannot drain (equation 14a)",
-                     peSets, chunks));
+        return strfmt("PE sets (%d) exceed min chunks-per-layer (%zu); "
+                      "IFMem write-back cannot drain (equation 14a)",
+                      peSets, chunks);
     }
+    return "";
 }
 
-std::size_t
-QuantizedNetwork::inputDim() const
+void
+AcceleratorConfig::validate(
+    const std::vector<std::size_t> &layer_sizes) const
 {
-    if (layers.empty())
-        fatal("QuantizedNetwork::inputDim(): network has no layers "
-              "(quantize a trained model first)");
-    return layers.front().inDim;
-}
-
-std::size_t
-QuantizedNetwork::outputDim() const
-{
-    if (layers.empty())
-        fatal("QuantizedNetwork::outputDim(): network has no layers "
-              "(quantize a trained model first)");
-    return layers.back().outDim;
-}
-
-std::vector<std::size_t>
-QuantizedNetwork::layerSizes() const
-{
-    std::vector<std::size_t> sizes;
-    sizes.push_back(layers.front().inDim);
-    for (const auto &layer : layers)
-        sizes.push_back(layer.outDim);
-    return sizes;
-}
-
-QuantizedNetwork
-quantizeNetwork(const bnn::BayesianMlp &net,
-                const AcceleratorConfig &config)
-{
-    QuantizedNetwork q;
-    q.activationFormat = config.activationFormat();
-    q.weightFormat = config.weightFormat();
-    q.epsFormat = config.epsFormat();
-
-    for (const auto &layer : net.layers()) {
-        q.layers.push_back(quantizeBank(
-            layer.muWeight().data().data(),
-            layer.rhoWeight().data().data(), layer.muBias().data(),
-            layer.rhoBias().data(), layer.inDim(), layer.outDim(),
-            q.weightFormat));
-    }
-    return q;
+    const std::string violation = constraintViolation(layer_sizes);
+    if (!violation.empty())
+        fatal(violation);
 }
 
 } // namespace vibnn::accel

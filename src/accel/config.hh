@@ -1,6 +1,6 @@
 /**
  * @file
- * Accelerator configuration and network quantization.
+ * Accelerator configuration and the shared datapath arithmetic.
  *
  * AcceleratorConfig captures the paper's architectural parameters — T
  * PE-sets of S PEs with N inputs each (S = N by design, Section 5.4),
@@ -11,9 +11,9 @@
  *   - weights (mu, sigma, bias): Q(B, B-2) (weights live in [-2, 2))
  *   - eps: Q(8, 5) (the GRNGs produce 8-bit unit Gaussians)
  *
- * QuantizedNetwork is a trained BayesianMlp lowered onto those grids:
- * raw integer mu/sigma planes per layer, ready to be loaded into the
- * simulator's WPMems or run through the fast functional path.
+ * QuantizedLayer is one neuron bank lowered onto those grids: the raw
+ * integer mu/sigma planes the compiler (accel/program.hh) places in
+ * each compute op of a QuantizedProgram.
  */
 
 #ifndef VIBNN_ACCEL_CONFIG_HH
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "bnn/bayesian_mlp.hh"
 #include "fixed/fixed_point.hh"
 
 namespace vibnn::accel
@@ -51,10 +50,16 @@ struct AcceleratorConfig
     fixed::FixedPointFormat epsFormat() const;
 
     /**
-     * Validate against the paper's constraint system (equations (15)):
-     * word widths within MaxWS and the write-drain feasibility
-     * condition T <= ceil(min layer input / N). fatal() on violation.
+     * Check against the paper's constraint system (equations (15)):
+     * geometry and operand width in range, word widths within MaxWS,
+     * and the write-drain feasibility condition
+     * T <= ceil(min layer input / N).
+     * @return The first violated constraint, or an empty string.
      */
+    std::string
+    constraintViolation(const std::vector<std::size_t> &layer_sizes) const;
+
+    /** constraintViolation(), but fatal() on a violation. */
     void validate(const std::vector<std::size_t> &layer_sizes) const;
 };
 
@@ -70,25 +75,6 @@ struct QuantizedLayer
     std::vector<std::int32_t> sigmaBias;
 };
 
-/** A BNN lowered to fixed point. */
-struct QuantizedNetwork
-{
-    std::vector<QuantizedLayer> layers;
-    fixed::FixedPointFormat activationFormat{8, 4};
-    fixed::FixedPointFormat weightFormat{8, 6};
-    fixed::FixedPointFormat epsFormat{8, 5};
-
-    /** Input width. fatal() on an empty network. */
-    std::size_t inputDim() const;
-    /** Output width. fatal() on an empty network. */
-    std::size_t outputDim() const;
-    std::vector<std::size_t> layerSizes() const;
-};
-
-/** Lower a trained BNN onto the config's fixed-point grids. */
-QuantizedNetwork quantizeNetwork(const bnn::BayesianMlp &net,
-                                 const AcceleratorConfig &config);
-
 /**
  * The shared datapath arithmetic — used identically by the cycle
  * simulator and the fast functional path so the two are bit-exact by
@@ -99,12 +85,6 @@ struct DatapathKernel
     fixed::FixedPointFormat activation;
     fixed::FixedPointFormat weight;
     fixed::FixedPointFormat eps;
-
-    explicit DatapathKernel(const QuantizedNetwork &net)
-        : activation(net.activationFormat), weight(net.weightFormat),
-          eps(net.epsFormat)
-    {
-    }
 
     DatapathKernel(const fixed::FixedPointFormat &activation_format,
                    const fixed::FixedPointFormat &weight_format,

@@ -5,10 +5,6 @@
 
 #include "accel/conv_lowering.hh"
 
-#include "accel/design_space.hh"
-#include "accel/program.hh"
-#include "common/logging.hh"
-
 namespace vibnn::accel
 {
 
@@ -116,80 +112,6 @@ maxPoolRaw(const nn::PoolSpec &spec, const std::int32_t *x,
            std::int32_t *out)
 {
     maxPoolRawImpl(spec, x, out);
-}
-
-QuantizedNetwork
-quantizeConvLayer(const bnn::VariationalConv2d &layer,
-                  const AcceleratorConfig &config)
-{
-    QuantizedNetwork q;
-    q.activationFormat = config.activationFormat();
-    q.weightFormat = config.weightFormat();
-    q.epsFormat = config.epsFormat();
-    q.layers.push_back(quantizeBank(
-        layer.muWeight().data().data(), layer.rhoWeight().data().data(),
-        layer.muBias().data(), layer.rhoBias().data(),
-        layer.spec().patchSize(), layer.spec().outChannels,
-        q.weightFormat));
-    return q;
-}
-
-ConvLayerRunner::ConvLayerRunner(const bnn::VariationalConv2d &layer,
-                                 const AcceleratorConfig &config,
-                                 grng::GaussianGenerator *generator,
-                                 bool apply_relu)
-    : spec_(layer.spec()), config_(config)
-{
-    VIBNN_ASSERT(spec_.valid(), "invalid conv geometry");
-
-    // A one-op program: the conv layer, then output staging.
-    program_.activationFormat = config.activationFormat();
-    program_.weightFormat = config.weightFormat();
-    program_.epsFormat = config.epsFormat();
-    ProgramOp op;
-    op.kind = OpKind::ConvLowered;
-    op.conv = spec_;
-    op.inSize = spec_.inputSize();
-    op.outSize = spec_.outputSize();
-    op.relu = apply_relu;
-    op.bank = quantizeConvLayer(layer, config).layers.front();
-    op.label = "conv (single-layer study)";
-    program_.ops.push_back(std::move(op));
-    ProgramOp out;
-    out.kind = OpKind::Output;
-    out.inSize = spec_.outputSize();
-    out.outSize = spec_.outputSize();
-    out.relu = false;
-    out.label = "output";
-    program_.ops.push_back(std::move(out));
-
-    sim_ = std::make_unique<Simulator>(program_, config_, generator);
-}
-
-std::vector<std::int64_t>
-ConvLayerRunner::runPass(const float *x)
-{
-    return sim_->runPass(x);
-}
-
-std::vector<float>
-ConvLayerRunner::runPassReal(const float *x)
-{
-    const auto raw = runPass(x);
-    std::vector<float> real(raw.size());
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        real[i] = static_cast<float>(
-            program_.activationFormat.toReal(raw[i]));
-    }
-    return real;
-}
-
-std::uint64_t
-ConvLayerRunner::cyclesPerConvPass() const
-{
-    const std::vector<std::size_t> sizes{spec_.patchSize(),
-                                         spec_.outChannels};
-    return spec_.positions() * predictPassCycles(sizes, config_);
 }
 
 } // namespace vibnn::accel

@@ -15,26 +15,20 @@
  * hardware terms; the software direct estimator shares one filter
  * sample across positions, and the tests pin down both semantics).
  *
- * Since the QuantizedProgram IR refactor, the lowering itself lives in
- * the compiler front-end (accel/program.hh: compile(BayesianConvNet)
- * emits ConvLowered ops) and both executors run it natively. This
- * module keeps the raw-grid geometry helpers the executors share
- * (im2colRaw, maxPoolRaw), the single-layer quantizer, and
- * ConvLayerRunner — now a thin wrapper that compiles a one-op program
- * for a single conv layer, kept for layer-level studies and benches.
+ * The lowering itself lives in the compiler front-end
+ * (accel/program.hh: compile(BayesianConvNet) emits ConvLowered ops,
+ * and compile(VariationalConv2d) compiles one conv layer on its own for
+ * layer-level studies) and every executor runs it natively. This
+ * module keeps only the raw-grid geometry helpers the executors share:
+ * im2colRaw and maxPoolRaw.
  */
 
 #ifndef VIBNN_ACCEL_CONV_LOWERING_HH
 #define VIBNN_ACCEL_CONV_LOWERING_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "accel/config.hh"
-#include "accel/simulator.hh"
-#include "bnn/variational_conv.hh"
-#include "grng/generator.hh"
 #include "nn/conv.hh"
 
 namespace vibnn::accel
@@ -67,57 +61,6 @@ void maxPoolRaw(const nn::PoolSpec &spec, const std::int64_t *x,
 /** int32 variant for the batched executor's activation buffers. */
 void maxPoolRaw(const nn::PoolSpec &spec, const std::int32_t *x,
                 std::int32_t *out);
-
-/**
- * Lower one variational conv layer to a single-layer quantized dense
- * network: outDim = outChannels, inDim = patchSize, with the filter
- * (mu, sigma) planes quantized on the config's grids.
- */
-QuantizedNetwork quantizeConvLayer(const bnn::VariationalConv2d &layer,
-                                   const AcceleratorConfig &config);
-
-/** One conv layer running on the cycle simulator (a one-op program). */
-class ConvLayerRunner
-{
-  public:
-    /**
-     * @param layer The trained variational conv layer (quantized here).
-     * @param config Accelerator geometry (validated against the
-     *        lowered layer).
-     * @param generator GRNG feeding the weight generator (not owned).
-     * @param apply_relu Apply the PE output stage's ReLU (hidden conv
-     *        layers); false for a terminal layer.
-     */
-    ConvLayerRunner(const bnn::VariationalConv2d &layer,
-                    const AcceleratorConfig &config,
-                    grng::GaussianGenerator *generator,
-                    bool apply_relu = true);
-
-    /**
-     * Run one sampled pass over a CHW input image; outputs collected
-     * into CHW maps on the activation grid.
-     * @param x Input maps, spec().inputSize() floats.
-     * @return Raw activation-grid values, spec().outputSize() entries.
-     */
-    std::vector<std::int64_t> runPass(const float *x);
-
-    /** Real-valued view of runPass (activation grid -> floats). */
-    std::vector<float> runPassReal(const float *x);
-
-    /** Simulator statistics (cycles accumulate across passes). */
-    const CycleStats &stats() const { return sim_->stats(); }
-
-    const nn::ConvSpec &spec() const { return spec_; }
-
-    /** Cycles one full conv pass costs: positions x bank-pass cost. */
-    std::uint64_t cyclesPerConvPass() const;
-
-  private:
-    nn::ConvSpec spec_;
-    AcceleratorConfig config_;
-    QuantizedProgram program_;
-    std::unique_ptr<Simulator> sim_;
-};
 
 } // namespace vibnn::accel
 

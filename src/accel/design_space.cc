@@ -93,31 +93,9 @@ checkConstraints(const AcceleratorConfig &config,
                  const std::vector<std::size_t> &layer_sizes,
                  const hw::DesignEstimate *estimate)
 {
-    if (config.peSets < 1 || config.pesPerSet < 1)
-        return "degenerate geometry";
-    if (config.bits < 2 || config.bits > 16)
-        return "operand width out of range [2, 16]";
-
-    // Equation (15b): per-set WPMem word B*N*S within MaxWS.
-    constexpr int max_ws = 1024;
-    const int word = config.bits * config.peInputs() * config.pesPerSet;
-    if (word > max_ws) {
-        return strfmt("WPMem word %d exceeds MaxWS %d (equation 15b)",
-                      word, max_ws);
-    }
-
-    // Write-drain feasibility (the corrected equation (14a); see
-    // AcceleratorConfig::validate for the discrepancy discussion).
-    std::size_t min_in = layer_sizes.front();
-    for (std::size_t i = 0; i + 1 < layer_sizes.size(); ++i)
-        min_in = std::min(min_in, layer_sizes[i]);
-    const std::size_t chunks =
-        (min_in + config.peInputs() - 1) / config.peInputs();
-    if (static_cast<std::size_t>(config.peSets) > chunks) {
-        return strfmt("PE sets (%d) exceed min chunks-per-layer (%zu); "
-                      "IFMem write-back cannot drain (equation 14a)",
-                      config.peSets, chunks);
-    }
+    std::string violation = config.constraintViolation(layer_sizes);
+    if (!violation.empty())
+        return violation;
 
     if (estimate) {
         const auto total = estimate->total();

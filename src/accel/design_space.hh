@@ -81,8 +81,8 @@ std::uint64_t predictProgramCycles(const QuantizedProgram &program,
                                    const AcceleratorConfig &config);
 
 /**
- * Non-fatal version of AcceleratorConfig::validate plus device-capacity
- * checks against the Cyclone V totals.
+ * AcceleratorConfig::constraintViolation plus device-capacity checks
+ * against the Cyclone V totals.
  * @return Empty string when feasible, else the first violated
  *         constraint.
  */

@@ -31,13 +31,6 @@ FunctionalRunner::FunctionalRunner(const QuantizedProgram &program,
     validateProgram(program_, config_);
 }
 
-FunctionalRunner::FunctionalRunner(const QuantizedNetwork &network,
-                                   const AcceleratorConfig &config,
-                                   grng::GaussianGenerator *generator)
-    : FunctionalRunner(programFromNetwork(network), config, generator)
-{
-}
-
 void
 FunctionalRunner::setGenerator(grng::GaussianGenerator *generator)
 {

@@ -36,12 +36,6 @@ class FunctionalRunner : public Executor
                      const AcceleratorConfig &config,
                      grng::GaussianGenerator *generator);
 
-    /** Legacy front-end: lift a flat QuantizedNetwork into a program
-     *  (one Dense op per layer) and run that. */
-    FunctionalRunner(const QuantizedNetwork &network,
-                     const AcceleratorConfig &config,
-                     grng::GaussianGenerator *generator);
-
     /** Untimed; per-pass fresh weight samples. */
     ExecutorCaps
     caps() const override

@@ -202,6 +202,28 @@ makeDenseOp(const bnn::VariationalDense &layer, bool relu,
 }
 
 ProgramOp
+makeConvOp(const bnn::VariationalConv2d &layer, bool relu,
+           const fixed::FixedPointFormat &weight_format,
+           std::size_t index)
+{
+    const auto &spec = layer.spec();
+    ProgramOp op;
+    op.kind = OpKind::ConvLowered;
+    op.conv = spec;
+    op.inSize = spec.inputSize();
+    op.outSize = spec.outputSize();
+    op.relu = relu;
+    op.bank = quantizeBank(
+        layer.muWeight().data().data(), layer.rhoWeight().data().data(),
+        layer.muBias().data(), layer.rhoBias().data(), spec.patchSize(),
+        spec.outChannels, weight_format);
+    op.label = strfmt("conv%zu %zu->%zu %zux%zu @%zux%zu", index,
+                      spec.inChannels, spec.outChannels, spec.kernel,
+                      spec.kernel, spec.inHeight, spec.inWidth);
+    return op;
+}
+
+ProgramOp
 makeOutputOp(std::size_t dim)
 {
     ProgramOp op;
@@ -247,24 +269,10 @@ compile(const bnn::BayesianConvNet &net, const AcceleratorConfig &config)
     VIBNN_ASSERT(blocks.size() == convs.size(),
                  "conv block/layer count mismatch");
     for (std::size_t i = 0; i < convs.size(); ++i) {
-        const auto &spec = convs[i].spec();
-        ProgramOp op;
-        op.kind = OpKind::ConvLowered;
-        op.conv = spec;
-        op.inSize = spec.inputSize();
-        op.outSize = spec.outputSize();
-        op.relu = true;
-        op.bank = quantizeBank(convs[i].muWeight().data().data(),
-                               convs[i].rhoWeight().data().data(),
-                               convs[i].muBias().data(),
-                               convs[i].rhoBias().data(),
-                               spec.patchSize(), spec.outChannels,
-                               program.weightFormat);
-        op.label = strfmt("conv%zu %zu->%zu %zux%zu @%zux%zu", i,
-                          spec.inChannels, spec.outChannels, spec.kernel,
-                          spec.kernel, spec.inHeight, spec.inWidth);
-        program.ops.push_back(std::move(op));
+        program.ops.push_back(makeConvOp(convs[i], /*relu=*/true,
+                                         program.weightFormat, i));
 
+        const auto &spec = convs[i].spec();
         if (blocks[i].pool) {
             nn::PoolSpec pool;
             pool.channels = spec.outChannels;
@@ -308,26 +316,16 @@ compile(const bnn::BayesianConvNet &net, const AcceleratorConfig &config)
 }
 
 QuantizedProgram
-programFromNetwork(const QuantizedNetwork &network)
+compile(const bnn::VariationalConv2d &layer,
+        const AcceleratorConfig &config, bool relu)
 {
     QuantizedProgram program;
-    program.activationFormat = network.activationFormat;
-    program.weightFormat = network.weightFormat;
-    program.epsFormat = network.epsFormat;
+    applyFormats(program, config);
+    program.ops.push_back(
+        makeConvOp(layer, relu, program.weightFormat, /*index=*/0));
+    program.ops.push_back(makeOutputOp(program.ops.back().outSize));
 
-    for (std::size_t i = 0; i < network.layers.size(); ++i) {
-        const auto &layer = network.layers[i];
-        ProgramOp op;
-        op.kind = OpKind::Dense;
-        op.inSize = layer.inDim;
-        op.outSize = layer.outDim;
-        op.relu = i + 1 < network.layers.size();
-        op.bank = layer;
-        op.label = strfmt("dense%zu %zu->%zu", i, op.inSize, op.outSize);
-        program.ops.push_back(std::move(op));
-    }
-    if (!program.ops.empty())
-        program.ops.push_back(makeOutputOp(program.ops.back().outSize));
+    validateProgram(program, config);
     return program;
 }
 

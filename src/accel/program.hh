@@ -20,9 +20,9 @@
  *   - Output:      terminal staging — marks where the final activation
  *                  window is collected from the IFMem.
  *
- * Programs are produced by the compiler front-end compile(), which
- * lowers a trained BayesianMlp or BayesianConvNet onto the config's
- * fixed-point grids and validates the whole program against the
+ * Programs are produced only by the compiler front-end compile(), which
+ * lowers a trained BayesianMlp, BayesianConvNet or conv layer onto the
+ * config's fixed-point grids and validates the whole program against the
  * paper's equation-(15) constraint system once. Both executors — the
  * fast FunctionalRunner and the cycle-level Simulator — execute
  * programs, consuming GRNG eps in one canonical
@@ -46,6 +46,8 @@
 namespace vibnn::bnn
 {
 class BayesianConvNet;
+class BayesianMlp;
+class VariationalConv2d;
 }
 
 namespace vibnn::accel
@@ -128,8 +130,8 @@ void validateProgram(const QuantizedProgram &program,
 
 /**
  * Quantize one variational neuron bank onto the program's grids —
- * the shared lowering core behind every compiler front-end (absorbs
- * what quantizeNetwork and quantizeConvLayer used to duplicate).
+ * the shared lowering core behind every compiler front-end (dense
+ * layers and conv filter banks alike).
  * Weight planes are row-major outDim x inDim of (mu, rho); sigma =
  * softplus(rho) is quantized on the weight grid.
  */
@@ -147,10 +149,12 @@ QuantizedProgram compile(const bnn::BayesianMlp &net,
 QuantizedProgram compile(const bnn::BayesianConvNet &net,
                          const AcceleratorConfig &config);
 
-/** Lift a legacy flat QuantizedNetwork into a program (one Dense op
- *  per layer plus Output staging). Not validated here — the executors
- *  validate against their config, as they always did. */
-QuantizedProgram programFromNetwork(const QuantizedNetwork &network);
+/** Compile one variational conv layer into a validated
+ *  ConvLowered + Output program — a single-layer study on the same
+ *  pipeline. @param relu Apply the PE output stage's ReLU (hidden conv
+ *  layers); false for a terminal layer. */
+QuantizedProgram compile(const bnn::VariationalConv2d &layer,
+                         const AcceleratorConfig &config, bool relu);
 
 } // namespace vibnn::accel
 

@@ -42,13 +42,6 @@ Simulator::Simulator(const QuantizedProgram &program,
     packWpmems();
 }
 
-Simulator::Simulator(const QuantizedNetwork &network,
-                     const AcceleratorConfig &config,
-                     grng::GaussianGenerator *generator)
-    : Simulator(programFromNetwork(network), config, generator)
-{
-}
-
 void
 Simulator::setGenerator(grng::GaussianGenerator *generator)
 {

@@ -74,12 +74,6 @@ class Simulator : public Executor
               const AcceleratorConfig &config,
               grng::GaussianGenerator *generator);
 
-    /** Legacy front-end: lift a flat QuantizedNetwork into a program
-     *  (one Dense op per layer) and load that. */
-    Simulator(const QuantizedNetwork &network,
-              const AcceleratorConfig &config,
-              grng::GaussianGenerator *generator);
-
     /** Cycle-accurate; per-pass fresh weight samples (no batched
      *  weight reuse). */
     ExecutorCaps

@@ -5,13 +5,16 @@
 
 #include "core/model_io.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 
 namespace vibnn::core
 {
@@ -25,6 +28,8 @@ constexpr std::uint32_t kVersion = 1;
 enum class Kind : std::uint32_t
 {
     BayesianMlp = 1,
+    /** Legacy flat network of dense layers: no longer written, still
+     *  read (loadQuantizedProgram lifts it into a program). */
     QuantizedNetwork = 2,
     BayesianConvNet = 3,
     QuantizedProgram = 4,
@@ -236,10 +241,12 @@ class Reader
     std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
-/** Read a whole file and verify magic/version/kind/checksum. Returns
- *  a Reader positioned after the header, or nullptr. */
+/** Read a whole file and verify magic/version/checksum and that its
+ *  kind tag is one of `accepted`. Returns a Reader positioned after the
+ *  header (and the tag in *kind when asked), or nullptr. */
 std::unique_ptr<Reader>
-openFile(const std::string &path, Kind expected)
+openFile(const std::string &path, std::initializer_list<Kind> accepted,
+         Kind *kind = nullptr)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -279,16 +286,19 @@ openFile(const std::string &path, Kind expected)
 
     auto reader = std::make_unique<Reader>(std::vector<std::uint8_t>(
         bytes.begin() + sizeof(kMagic), bytes.end()));
-    std::uint32_t version, kind;
+    std::uint32_t version, tag;
     if (!reader->u32(version) || version != kVersion) {
         warn("model_io: " + path + " has unsupported version");
         return nullptr;
     }
-    if (!reader->u32(kind) ||
-        kind != static_cast<std::uint32_t>(expected)) {
+    if (!reader->u32(tag) ||
+        std::find(accepted.begin(), accepted.end(),
+                  static_cast<Kind>(tag)) == accepted.end()) {
         warn("model_io: " + path + " holds a different model kind");
         return nullptr;
     }
+    if (kind)
+        *kind = static_cast<Kind>(tag);
     return reader;
 }
 
@@ -334,6 +344,66 @@ validFormatPair(std::uint32_t total, std::uint32_t frac)
     return total >= 2 && total <= 32 && frac < total;
 }
 
+/** A bank's four parameter planes, in file order. */
+bool
+readPlanes(Reader &reader, accel::QuantizedLayer &bank)
+{
+    return reader.ints(bank.muWeight, kMaxElements) &&
+        reader.ints(bank.sigmaWeight, kMaxElements) &&
+        reader.ints(bank.muBias, kMaxElements) &&
+        reader.ints(bank.sigmaBias, kMaxElements);
+}
+
+/** True when the planes have the bank's outDim x inDim shape. */
+bool
+planesMatchDims(const accel::QuantizedLayer &bank)
+{
+    return bank.muWeight.size() == bank.inDim * bank.outDim &&
+        bank.sigmaWeight.size() == bank.inDim * bank.outDim &&
+        bank.muBias.size() == bank.outDim &&
+        bank.sigmaBias.size() == bank.outDim;
+}
+
+/**
+ * Lift the payload of a legacy flat-network image (the part after its
+ * format words) into the program compile() emits for that MLP: one
+ * Dense op per layer, ReLU on all but the last, then Output staging.
+ * @return The name of the first bad field, or nullptr on success.
+ */
+const char *
+liftNetworkImage(Reader &reader, accel::QuantizedProgram &program)
+{
+    std::uint64_t count;
+    if (!reader.u64(count) || count == 0 || count > 64)
+        return "layer count";
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t in, out;
+        if (!reader.u64(in) || !reader.u64(out) || in == 0 || out == 0 ||
+            in > kMaxElements || out > kMaxElements)
+            return "layer dims";
+        accel::ProgramOp op;
+        op.kind = accel::OpKind::Dense;
+        op.inSize = op.bank.inDim = static_cast<std::size_t>(in);
+        op.outSize = op.bank.outDim = static_cast<std::size_t>(out);
+        op.relu = i + 1 < count;
+        op.label = strfmt("dense%zu %zu->%zu", i, op.inSize, op.outSize);
+        if (!readPlanes(reader, op.bank))
+            return "parameter plane";
+        if (!planesMatchDims(op.bank))
+            return "plane shape";
+        program.ops.push_back(std::move(op));
+    }
+    const std::size_t out_dim = program.ops.back().outSize;
+    accel::ProgramOp staging;
+    staging.kind = accel::OpKind::Output;
+    staging.inSize = out_dim;
+    staging.outSize = out_dim;
+    staging.relu = false;
+    staging.label = strfmt("output %zu", out_dim);
+    program.ops.push_back(std::move(staging));
+    return nullptr;
+}
+
 } // namespace
 
 bool
@@ -353,7 +423,7 @@ saveBayesianMlp(const bnn::BayesianMlp &net, const std::string &path)
 std::unique_ptr<bnn::BayesianMlp>
 loadBayesianMlp(const std::string &path)
 {
-    auto reader = openFile(path, Kind::BayesianMlp);
+    auto reader = openFile(path, {Kind::BayesianMlp});
     if (!reader)
         return nullptr;
 
@@ -418,7 +488,7 @@ saveBayesianConvNet(const bnn::BayesianConvNet &net,
 std::unique_ptr<bnn::BayesianConvNet>
 loadBayesianConvNet(const std::string &path)
 {
-    auto reader = openFile(path, Kind::BayesianConvNet);
+    auto reader = openFile(path, {Kind::BayesianConvNet});
     if (!reader)
         return nullptr;
 
@@ -489,85 +559,6 @@ loadBayesianConvNet(const std::string &path)
 }
 
 bool
-saveQuantizedNetwork(const accel::QuantizedNetwork &net,
-                     const std::string &path)
-{
-    return saveWithHeader(path, Kind::QuantizedNetwork, [&](Writer &w) {
-        w.u32(static_cast<std::uint32_t>(
-            net.activationFormat.totalBits()));
-        w.u32(static_cast<std::uint32_t>(
-            net.activationFormat.fracBits()));
-        w.u32(static_cast<std::uint32_t>(net.weightFormat.totalBits()));
-        w.u32(static_cast<std::uint32_t>(net.weightFormat.fracBits()));
-        w.u32(static_cast<std::uint32_t>(net.epsFormat.totalBits()));
-        w.u32(static_cast<std::uint32_t>(net.epsFormat.fracBits()));
-        w.u64(net.layers.size());
-        for (const auto &layer : net.layers) {
-            w.u64(layer.inDim);
-            w.u64(layer.outDim);
-            w.ints(layer.muWeight);
-            w.ints(layer.sigmaWeight);
-            w.ints(layer.muBias);
-            w.ints(layer.sigmaBias);
-        }
-    });
-}
-
-std::unique_ptr<accel::QuantizedNetwork>
-loadQuantizedNetwork(const std::string &path)
-{
-    auto reader = openFile(path, Kind::QuantizedNetwork);
-    if (!reader)
-        return nullptr;
-
-    auto bad = [&](const char *what) {
-        warn("model_io: " + path + " has a bad " + what);
-        return nullptr;
-    };
-
-    std::uint32_t fmt[6];
-    for (auto &f : fmt) {
-        if (!reader->u32(f))
-            return bad("fixed-point format");
-    }
-    for (int i = 0; i < 6; i += 2) {
-        if (!validFormatPair(fmt[i], fmt[i + 1]))
-            return bad("fixed-point format");
-    }
-    auto net = std::make_unique<accel::QuantizedNetwork>();
-    net->activationFormat = fixed::FixedPointFormat(
-        static_cast<int>(fmt[0]), static_cast<int>(fmt[1]));
-    net->weightFormat = fixed::FixedPointFormat(static_cast<int>(fmt[2]),
-                                                static_cast<int>(fmt[3]));
-    net->epsFormat = fixed::FixedPointFormat(static_cast<int>(fmt[4]),
-                                             static_cast<int>(fmt[5]));
-
-    std::uint64_t count;
-    if (!reader->u64(count) || count == 0 || count > 64)
-        return bad("layer count");
-    net->layers.resize(count);
-    for (auto &layer : net->layers) {
-        std::uint64_t in, out;
-        if (!reader->u64(in) || !reader->u64(out) || in == 0 ||
-            out == 0 || in > kMaxElements || out > kMaxElements)
-            return bad("layer dims");
-        layer.inDim = static_cast<std::size_t>(in);
-        layer.outDim = static_cast<std::size_t>(out);
-        if (!reader->ints(layer.muWeight, kMaxElements) ||
-            !reader->ints(layer.sigmaWeight, kMaxElements) ||
-            !reader->ints(layer.muBias, kMaxElements) ||
-            !reader->ints(layer.sigmaBias, kMaxElements))
-            return bad("parameter plane");
-        if (layer.muWeight.size() != layer.inDim * layer.outDim ||
-            layer.sigmaWeight.size() != layer.inDim * layer.outDim ||
-            layer.muBias.size() != layer.outDim ||
-            layer.sigmaBias.size() != layer.outDim)
-            return bad("plane shape");
-    }
-    return net;
-}
-
-bool
 saveQuantizedProgram(const accel::QuantizedProgram &program,
                      const std::string &path)
 {
@@ -633,7 +624,9 @@ saveQuantizedProgram(const accel::QuantizedProgram &program,
 std::unique_ptr<accel::QuantizedProgram>
 loadQuantizedProgram(const std::string &path)
 {
-    auto reader = openFile(path, Kind::QuantizedProgram);
+    Kind file_kind;
+    auto reader = openFile(
+        path, {Kind::QuantizedProgram, Kind::QuantizedNetwork}, &file_kind);
     if (!reader)
         return nullptr;
 
@@ -658,6 +651,14 @@ loadQuantizedProgram(const std::string &path)
         static_cast<int>(fmt[2]), static_cast<int>(fmt[3]));
     program->epsFormat = fixed::FixedPointFormat(static_cast<int>(fmt[4]),
                                                  static_cast<int>(fmt[5]));
+
+    // Both quantized kinds share the format header; a legacy flat
+    // network is lifted from here.
+    if (file_kind == Kind::QuantizedNetwork) {
+        if (const char *field = liftNetworkImage(*reader, *program))
+            return bad(field);
+        return program;
+    }
 
     std::uint64_t count;
     if (!reader->u64(count) || count == 0 || count > kMaxOps)
@@ -688,18 +689,10 @@ loadQuantizedProgram(const std::string &path)
             return bad("bank dims");
         op.bank.inDim = static_cast<std::size_t>(in);
         op.bank.outDim = static_cast<std::size_t>(out);
-        if (!reader->ints(op.bank.muWeight, kMaxElements) ||
-            !reader->ints(op.bank.sigmaWeight, kMaxElements) ||
-            !reader->ints(op.bank.muBias, kMaxElements) ||
-            !reader->ints(op.bank.sigmaBias, kMaxElements))
+        if (!readPlanes(*reader, op.bank))
             return bad("parameter plane");
         if (op.isCompute()) {
-            if (op.bank.muWeight.size() !=
-                    op.bank.inDim * op.bank.outDim ||
-                op.bank.sigmaWeight.size() !=
-                    op.bank.inDim * op.bank.outDim ||
-                op.bank.muBias.size() != op.bank.outDim ||
-                op.bank.sigmaBias.size() != op.bank.outDim)
+            if (!planesMatchDims(op.bank))
                 return bad("plane shape");
         } else if (!op.bank.muWeight.empty() ||
                    !op.bank.sigmaWeight.empty() ||

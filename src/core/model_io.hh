@@ -9,10 +9,13 @@
  *
  *  - a trained BayesianMlp / BayesianConvNet (float mu/rho, so training
  *    can resume and requantization at other bit-lengths is possible);
- *  - a QuantizedNetwork (the raw integer planes the accelerator loads —
- *    the actual deployment image);
- *  - a QuantizedProgram (the compiled op list any executor backend
- *    runs — caching one skips the compile step on later runs).
+ *  - a QuantizedProgram (the compiled op list with the raw integer
+ *    planes the accelerator loads — the actual deployment image, and a
+ *    cache that skips the compile step on later runs).
+ *
+ * Quantized models are written only as programs. Older flat-network
+ * images (a list of dense layers, file kind 2) still load: the program
+ * loader lifts them into the program compile() emits for that MLP.
  *
  * Format: little-endian binary; magic "VIBNNMDL", format version, a
  * kind tag, the payload, and an FNV-1a checksum trailer. Loaders return
@@ -26,7 +29,6 @@
 #include <memory>
 #include <string>
 
-#include "accel/config.hh"
 #include "accel/program.hh"
 #include "bnn/bayesian_cnn.hh"
 #include "bnn/bayesian_mlp.hh"
@@ -49,23 +51,16 @@ bool saveBayesianConvNet(const bnn::BayesianConvNet &net,
 std::unique_ptr<bnn::BayesianConvNet>
 loadBayesianConvNet(const std::string &path);
 
-/** Save a quantized deployment image. @return false on IO failure. */
-bool saveQuantizedNetwork(const accel::QuantizedNetwork &net,
-                          const std::string &path);
-
-/** Load a quantized deployment image; nullptr on any failure. */
-std::unique_ptr<accel::QuantizedNetwork>
-loadQuantizedNetwork(const std::string &path);
-
 /** Save a compiled program (same tagged + FNV-1a checksum container),
  *  so compiled CNN programs can be cached across runs instead of
  *  recompiled. @return false on IO failure. */
 bool saveQuantizedProgram(const accel::QuantizedProgram &program,
                           const std::string &path);
 
-/** Load a compiled program; nullptr (after warn()) on any failure.
- *  Callers validate against their AcceleratorConfig exactly as the
- *  executors do for freshly compiled programs. */
+/** Load a compiled program — or a legacy flat-network image, lifted to
+ *  one Dense op per layer plus Output staging; nullptr (after warn())
+ *  on any failure. Callers validate against their AcceleratorConfig
+ *  exactly as the executors do for freshly compiled programs. */
 std::unique_ptr<accel::QuantizedProgram>
 loadQuantizedProgram(const std::string &path);
 

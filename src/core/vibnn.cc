@@ -11,13 +11,9 @@ VibnnSystem::VibnnSystem(const bnn::BayesianMlp &net,
                          const accel::AcceleratorConfig &config,
                          std::string grng_id, std::uint64_t seed)
     : net_(std::make_unique<bnn::BayesianMlp>(net)), config_(config),
-      quantized_(accel::quantizeNetwork(net, config)),
-      program_(accel::programFromNetwork(quantized_)),
-      grngId_(std::move(grng_id)), seed_(seed)
+      program_(accel::compile(net, config)), grngId_(std::move(grng_id)),
+      seed_(seed)
 {
-    // programFromNetwork does not validate; fail fast here like
-    // compile() would.
-    accel::validateProgram(program_, config_);
 }
 
 VibnnSystem::VibnnSystem(const bnn::BayesianConvNet &net,
@@ -73,15 +69,6 @@ VibnnSystem::convNetwork() const
         fatal("VibnnSystem::convNetwork(): this system wraps an MLP; "
               "use network()");
     return *cnn_;
-}
-
-const accel::QuantizedNetwork &
-VibnnSystem::quantized() const
-{
-    if (!net_)
-        fatal("VibnnSystem::quantized(): a CNN program has no flat "
-              "layer view; use program()");
-    return quantized_;
 }
 
 double

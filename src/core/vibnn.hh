@@ -82,10 +82,6 @@ class VibnnSystem
     /** The compiled deployment program. */
     const accel::QuantizedProgram &program() const { return program_; }
 
-    /** Legacy flat view of the quantized MLP (fatal for CNN systems —
-     *  a CNN program has no flat-layer representation). */
-    const accel::QuantizedNetwork &quantized() const;
-
     const accel::AcceleratorConfig &config() const { return config_; }
     const std::string &grngId() const { return grngId_; }
     std::uint64_t seed() const { return seed_; }
@@ -160,9 +156,6 @@ class VibnnSystem
     std::unique_ptr<bnn::BayesianMlp> net_;
     std::unique_ptr<bnn::BayesianConvNet> cnn_;
     accel::AcceleratorConfig config_;
-    /** Flat legacy view, populated for MLP systems only (the program
-     *  is derived from it, so the banks are quantized once). */
-    accel::QuantizedNetwork quantized_;
     accel::QuantizedProgram program_;
     std::string grngId_;
     std::uint64_t seed_;

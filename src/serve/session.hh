@@ -340,7 +340,8 @@ class InferenceSession
         Builder &model(const bnn::BayesianConvNet &net);
         /** Serve an already-compiled program. */
         Builder &program(accel::QuantizedProgram prog);
-        /** Load a program saved by core::saveQuantizedProgram. */
+        /** Load a program saved by core::saveQuantizedProgram (or a
+         *  legacy flat-network image, lifted at load time). */
         Builder &programFile(const std::string &path);
         /** Accelerator geometry (defaults to the paper's 16x8x8@8). */
         Builder &accelerator(const accel::AcceleratorConfig &config);

@@ -13,6 +13,7 @@
 
 #include "accel/config.hh"
 #include "accel/functional.hh"
+#include "accel/program.hh"
 #include "accel/ram.hh"
 #include "accel/simulator.hh"
 #include "bnn/bayesian_mlp.hh"
@@ -74,29 +75,28 @@ TEST(Quantization, ShapesAndRanges)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
-    ASSERT_EQ(q.layers.size(), 2u);
-    EXPECT_EQ(q.layers[0].inDim, 6u);
-    EXPECT_EQ(q.layers[0].outDim, 5u);
-    EXPECT_EQ(q.layers[0].muWeight.size(), 30u);
-    for (auto v : q.layers[0].muWeight) {
-        EXPECT_GE(v, q.weightFormat.rawMin());
-        EXPECT_LE(v, q.weightFormat.rawMax());
+    const auto program = compile(net, config);
+    ASSERT_EQ(program.ops.size(), 3u); // dense, dense, output
+    const auto &bank = program.ops[0].bank;
+    EXPECT_EQ(bank.inDim, 6u);
+    EXPECT_EQ(bank.outDim, 5u);
+    EXPECT_EQ(bank.muWeight.size(), 30u);
+    for (auto v : bank.muWeight) {
+        EXPECT_GE(v, program.weightFormat.rawMin());
+        EXPECT_LE(v, program.weightFormat.rawMax());
     }
     // Sigma is non-negative by construction (softplus).
-    for (auto v : q.layers[0].sigmaWeight)
+    for (auto v : bank.sigmaWeight)
         EXPECT_GE(v, 0);
-    EXPECT_EQ(q.layerSizes(), (std::vector<std::size_t>{6, 5, 3}));
+    EXPECT_EQ(program.bankInputSizes(), (std::vector<std::size_t>{6, 5}));
+    EXPECT_EQ(program.outputDim(), 3u);
 }
 
 TEST(DatapathKernel, SampleWeightMath)
 {
-    auto net = makeNet({4, 2}, 5);
-    AcceleratorConfig config;
-    config.peSets = 1;
-    config.pesPerSet = 1;
-    const auto q = quantizeNetwork(net, config);
-    DatapathKernel kernel(q);
+    const AcceleratorConfig config;
+    const DatapathKernel kernel(config.activationFormat(),
+                                config.weightFormat(), config.epsFormat());
 
     // mu = 1.0 (raw 64 in Q8.6), sigma = 0.5 (raw 32), eps = 1.0
     // (raw 32 in Q8.5): w = 1.0 + 0.5 = 1.5 -> raw 96.
@@ -110,10 +110,9 @@ TEST(DatapathKernel, SampleWeightMath)
 
 TEST(DatapathKernel, FinishNeuronReluAndRequant)
 {
-    auto net = makeNet({4, 2}, 7);
-    AcceleratorConfig config;
-    const auto q = quantizeNetwork(net, config);
-    DatapathKernel kernel(q);
+    const AcceleratorConfig config;
+    const DatapathKernel kernel(config.activationFormat(),
+                                config.weightFormat(), config.epsFormat());
 
     // Accumulator carries frac = 6 + 4 = 10 bits. acc = 1.0 -> 1024.
     // bias = 0.5 (raw 32 in Q8.6) -> aligned 512. Sum = 1536 -> 1.5.
@@ -177,12 +176,12 @@ TEST_P(SimFunctionalEquivalence, BitExact)
     config.peSets = param.pe_sets;
     config.pesPerSet = param.pes_per_set;
     config.bits = param.bits;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
 
     auto gen_a = grng::makeGenerator("rlf", 99);
     auto gen_b = grng::makeGenerator("rlf", 99);
-    Simulator sim(q, config, gen_a.get());
-    FunctionalRunner fun(q, config, gen_b.get());
+    Simulator sim(program, config, gen_a.get());
+    FunctionalRunner fun(program, config, gen_b.get());
 
     Rng input_rng(13);
     std::vector<float> x(param.layers.front());
@@ -210,12 +209,12 @@ TEST(Simulator, BnnWallaceGrngAlsoBitExact)
     AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
 
     auto gen_a = grng::makeGenerator("bnnwallace", 7);
     auto gen_b = grng::makeGenerator("bnnwallace", 7);
-    Simulator sim(q, config, gen_a.get());
-    FunctionalRunner fun(q, config, gen_b.get());
+    Simulator sim(program, config, gen_a.get());
+    FunctionalRunner fun(program, config, gen_b.get());
 
     std::vector<float> x(40, 0.25f);
     EXPECT_EQ(sim.runPass(x.data()), fun.runPass(x.data()));
@@ -225,9 +224,9 @@ TEST(Simulator, CycleCountMatchesAnalyticModel)
 {
     auto net = makeNet({784, 200, 200, 10}, 19);
     AcceleratorConfig config; // paper geometry
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
-    Simulator sim(q, config, gen.get());
+    Simulator sim(program, config, gen.get());
     std::vector<float> x(784, 0.5f);
     sim.runPass(x.data());
 
@@ -249,9 +248,9 @@ TEST(Simulator, GrnConsumptionMatchesLanes)
     AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
-    Simulator sim(q, config, gen.get());
+    Simulator sim(program, config, gen.get());
     std::vector<float> x(32, 0.1f);
     sim.runPass(x.data());
 
@@ -264,9 +263,9 @@ TEST(Simulator, UtilizationInUnitRange)
 {
     auto net = makeNet({784, 200, 200, 10}, 29);
     AcceleratorConfig config;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 5);
-    Simulator sim(q, config, gen.get());
+    Simulator sim(program, config, gen.get());
     std::vector<float> x(784, 0.3f);
     sim.runPass(x.data());
     const double util = sim.stats().utilization(config.totalPes(),
@@ -289,12 +288,12 @@ TEST(Simulator, ZeroSigmaIsDeterministic)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
 
     auto gen_a = grng::makeGenerator("rlf", 1);
     auto gen_b = grng::makeGenerator("ziggurat", 999);
-    Simulator sim_a(q, config, gen_a.get());
-    Simulator sim_b(q, config, gen_b.get());
+    Simulator sim_a(program, config, gen_a.get());
+    Simulator sim_b(program, config, gen_b.get());
     std::vector<float> x(16, 0.5f);
     EXPECT_EQ(sim_a.runPass(x.data()), sim_b.runPass(x.data()));
 }
@@ -315,9 +314,9 @@ TEST(Simulator, TinyNetworkHandComputed)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 1;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 1);
-    FunctionalRunner fun(q, config, gen.get());
+    FunctionalRunner fun(program, config, gen.get());
 
     // x = (1.0, 0.5): y = 0.5 - 0.125 + 0.125 = 0.5 -> Q8.4 raw 8.
     const float x[2] = {1.0f, 0.5f};
@@ -333,9 +332,9 @@ TEST(Simulator, ClassifyAveragesMcSamples)
     config.peSets = 1;
     config.pesPerSet = 4;
     config.mcSamples = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 9);
-    Simulator sim(q, config, gen.get());
+    Simulator sim(program, config, gen.get());
     std::vector<float> x(16, 0.4f);
     std::vector<float> probs(3);
     const std::size_t cls = sim.classify(x.data(), probs.data());
@@ -361,9 +360,9 @@ TEST(Functional, QuantizedTracksFloatWhenSigmaSmall)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
-    FunctionalRunner fun(q, config, gen.get());
+    FunctionalRunner fun(program, config, gen.get());
 
     Rng input_rng(47);
     std::vector<float> x(24);
@@ -373,7 +372,7 @@ TEST(Functional, QuantizedTracksFloatWhenSigmaSmall)
     net.meanForward(x.data(), float_logits.data());
     const auto raw = fun.runPass(x.data());
     for (std::size_t i = 0; i < 4; ++i) {
-        const double hw = q.activationFormat.toReal(raw[i]);
+        const double hw = program.activationFormat.toReal(raw[i]);
         EXPECT_NEAR(hw, float_logits[i], 0.5) << "logit " << i;
     }
 }

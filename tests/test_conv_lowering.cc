@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the conv-on-accelerator lowering: with sigma = 0 the
+ * Tests for the conv-on-accelerator lowering, run on one-conv programs
+ * from compile(VariationalConv2d): with sigma = 0 the
  * simulator-executed conv layer must be bit-exact against a host
  * fixed-point reference built from the same DatapathKernel; the ReLU
  * clamp identity must hold on real data; the cycle accounting must
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "accel/config.hh"
-#include "accel/conv_lowering.hh"
+#include "accel/design_space.hh"
+#include "accel/program.hh"
+#include "accel/simulator.hh"
 #include "bnn/variational_conv.hh"
 #include "common/rng.hh"
 #include "grng/registry.hh"
@@ -69,9 +72,10 @@ referenceFixedConv(const bnn::VariationalConv2d &layer,
                    bool relu)
 {
     const auto &spec = layer.spec();
-    const auto lowered = quantizeConvLayer(layer, config);
-    const DatapathKernel kernel(lowered);
-    const auto &ql = lowered.layers.front();
+    const auto program = compile(layer, config, relu);
+    const DatapathKernel kernel(program.activationFormat,
+                                program.weightFormat, program.epsFormat);
+    const auto &ql = program.ops.front().bank;
 
     nn::Matrix patches;
     nn::im2col(spec, x, patches);
@@ -83,7 +87,7 @@ referenceFixedConv(const bnn::VariationalConv2d &layer,
         std::vector<std::int64_t> xq(patch);
         for (std::size_t k = 0; k < patch; ++k) {
             xq[k] =
-                lowered.activationFormat.fromReal(patches.at(p, k));
+                program.activationFormat.fromReal(patches.at(p, k));
         }
         for (std::size_t oc = 0; oc < spec.outChannels; ++oc) {
             std::int64_t acc = 0;
@@ -98,6 +102,19 @@ referenceFixedConv(const bnn::VariationalConv2d &layer,
         }
     }
     return out;
+}
+
+/** Real-valued view of a pass's raw activation-grid outputs. */
+std::vector<float>
+toReal(const QuantizedProgram &program,
+       const std::vector<std::int64_t> &raw)
+{
+    std::vector<float> real(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        real[i] =
+            static_cast<float>(program.activationFormat.toReal(raw[i]));
+    }
+    return real;
 }
 
 std::vector<float>
@@ -123,7 +140,8 @@ TEST(ConvLowering, SigmaZeroIsBitExactAgainstHostReference)
     layer.muBias()[0] = -0.5f;
 
     auto gen = grng::makeGenerator("rlf", 7);
-    ConvLayerRunner runner(layer, config, gen.get(), /*relu=*/true);
+    Simulator runner(compile(layer, config, /*relu=*/true), config,
+                     gen.get());
 
     Rng data(11);
     for (int trial = 0; trial < 4; ++trial) {
@@ -148,7 +166,8 @@ TEST(ConvLowering, NoReluPathMatchesOutputFinish)
     layer.muBias()[1] = -0.8f; // force negative outputs through
 
     auto gen = grng::makeGenerator("rlf", 17);
-    ConvLayerRunner runner(layer, config, gen.get(), /*relu=*/false);
+    Simulator runner(compile(layer, config, /*relu=*/false), config,
+                     gen.get());
 
     Rng data(19);
     const auto x = randomImage(spec, data);
@@ -168,10 +187,8 @@ TEST(ConvLowering, ReluClampEqualsFinishNeuron)
     // The identity the runner relies on:
     // max(0, finishOutputNeuron(acc, b)) == finishNeuron(acc, b).
     const auto config = smallConfig();
-    Rng rng(23);
-    bnn::VariationalConv2d layer(smallSpec(), rng);
-    const auto lowered = quantizeConvLayer(layer, config);
-    const DatapathKernel kernel(lowered);
+    const DatapathKernel kernel(config.activationFormat(),
+                                config.weightFormat(), config.epsFormat());
     Rng probe(29);
     for (int i = 0; i < 2000; ++i) {
         const std::int64_t acc = probe.uniformInt(-30000, 30000);
@@ -191,16 +208,17 @@ TEST(ConvLowering, CycleAccountingMatchesAnalyticModel)
     Rng rng(31);
     bnn::VariationalConv2d layer(spec, rng);
 
+    const auto program = compile(layer, config, /*relu=*/true);
     auto gen = grng::makeGenerator("rlf", 37);
-    ConvLayerRunner runner(layer, config, gen.get());
+    Simulator runner(program, config, gen.get());
 
     Rng data(41);
     const auto x = randomImage(spec, data);
+    const std::uint64_t per_pass = predictProgramCycles(program, config);
     runner.runPass(x.data());
-    EXPECT_EQ(runner.stats().totalCycles, runner.cyclesPerConvPass());
+    EXPECT_EQ(runner.stats().totalCycles, per_pass);
     runner.runPass(x.data());
-    EXPECT_EQ(runner.stats().totalCycles,
-              2 * runner.cyclesPerConvPass());
+    EXPECT_EQ(runner.stats().totalCycles, 2 * per_pass);
 }
 
 TEST(ConvLowering, SampledPassesSpreadAroundMean)
@@ -215,20 +233,24 @@ TEST(ConvLowering, SampledPassesSpreadAroundMean)
     bnn::VariationalConv2d frozen(spec, rng2, -2.0f);
     freezeSigma(frozen);
 
+    const auto sampled_program = compile(layer, config, /*relu=*/true);
+    const auto mean_program = compile(frozen, config, /*relu=*/true);
     auto gen = grng::makeGenerator("rlf", 47);
-    ConvLayerRunner sampled(layer, config, gen.get());
+    Simulator sampled(sampled_program, config, gen.get());
     auto gen2 = grng::makeGenerator("rlf", 47);
-    ConvLayerRunner mean_runner(frozen, config, gen2.get());
+    Simulator mean_runner(mean_program, config, gen2.get());
 
     Rng data(53);
     const auto x = randomImage(spec, data);
-    const auto mean_out = mean_runner.runPassReal(x.data());
+    const auto mean_out =
+        toReal(mean_program, mean_runner.runPass(x.data()));
 
     const int reps = 60;
     std::vector<double> sum(mean_out.size(), 0.0);
     std::vector<double> sum2(mean_out.size(), 0.0);
     for (int r = 0; r < reps; ++r) {
-        const auto out = sampled.runPassReal(x.data());
+        const auto out =
+            toReal(sampled_program, sampled.runPass(x.data()));
         for (std::size_t i = 0; i < out.size(); ++i) {
             sum[i] += out[i];
             sum2[i] += static_cast<double>(out[i]) * out[i];
@@ -273,12 +295,13 @@ TEST(ConvLowering, OutputLayoutIsChw)
     layer.muBias()[0] = 0.0f;
     layer.muBias()[1] = 0.0f;
 
+    const auto program = compile(layer, config, /*relu=*/true);
     auto gen = grng::makeGenerator("rlf", 61);
-    ConvLayerRunner runner(layer, config, gen.get());
+    Simulator runner(program, config, gen.get());
 
     std::vector<float> x = {0.1f, 0.2f, 0.3f, 0.4f, 0.5f,
                             0.6f, 0.7f, 0.8f, 0.9f};
-    const auto out = runner.runPassReal(x.data());
+    const auto out = toReal(program, runner.runPass(x.data()));
     ASSERT_EQ(out.size(), 18u);
     for (std::size_t p = 0; p < 9; ++p) {
         EXPECT_NEAR(out[p], x[p], 0.05) << "ch0 at " << p;

@@ -108,12 +108,11 @@ TEST(VibnnSystem, QuantizedImageMatchesConfig)
 {
     const auto ds = smallDataset();
     const auto sys = smallSystem(ds);
-    EXPECT_EQ(sys.quantized().layers.size(), 3u);
-    EXPECT_EQ(sys.quantized().activationFormat.totalBits(),
-              sys.config().bits);
-    // The compiled program carries the same dense chain plus the
-    // output staging op.
+    // Three dense ops plus the output staging op.
     EXPECT_EQ(sys.program().ops.size(), 4u);
+    EXPECT_EQ(sys.program().bankInputSizes().size(), 3u);
+    EXPECT_EQ(sys.program().activationFormat.totalBits(),
+              sys.config().bits);
 }
 
 TEST(VibnnSystem, ClassifyBatchMatchesFunctionalSerial)

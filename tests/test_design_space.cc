@@ -46,10 +46,10 @@ TEST_P(CyclePredictionSweep, AnalyticModelIsCycleExact)
 
     Rng rng(11);
     bnn::BayesianMlp net(geo.layers, rng);
-    const auto quantized = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
 
     auto gen = grng::makeGenerator("rlf", 3);
-    Simulator sim(quantized, config, gen.get());
+    Simulator sim(program, config, gen.get());
 
     std::vector<float> x(geo.layers.front());
     Rng data(13);

@@ -474,15 +474,17 @@ TEST(BatchedRunnerParallel, WideFormatsConstructAndRun)
     // must be computed without overflowing (UBSan-enforced in the
     // sanitizer CI leg) and the round must still saturate on the
     // format, not on int32.
-    QuantizedNetwork network;
-    network.activationFormat = {32, 28};
-    network.weightFormat = {32, 30};
-    network.epsFormat = {8, 5};
+    // No AcceleratorConfig derives these formats, so the two-op
+    // program (one dense bank, then output staging) is built by hand.
+    QuantizedProgram program;
+    program.activationFormat = {32, 28};
+    program.weightFormat = {32, 30};
+    program.epsFormat = {8, 5};
     QuantizedLayer layer;
     layer.inDim = 6;
     layer.outDim = 3;
     Rng rng(9);
-    const auto wfmt = network.weightFormat;
+    const auto wfmt = program.weightFormat;
     for (std::size_t i = 0; i < layer.inDim * layer.outDim; ++i) {
         layer.muWeight.push_back(static_cast<std::int32_t>(
             wfmt.fromReal(rng.uniform() * 2.0 - 1.0)));
@@ -494,8 +496,21 @@ TEST(BatchedRunnerParallel, WideFormatsConstructAndRun)
             wfmt.fromReal(rng.uniform() - 0.5)));
         layer.sigmaBias.push_back(0);
     }
-    network.layers.push_back(layer);
-    const auto program = programFromNetwork(network);
+    ProgramOp dense;
+    dense.kind = OpKind::Dense;
+    dense.inSize = layer.inDim;
+    dense.outSize = layer.outDim;
+    dense.relu = false;
+    dense.bank = layer;
+    dense.label = "dense0 6->3";
+    program.ops.push_back(dense);
+    ProgramOp output;
+    output.kind = OpKind::Output;
+    output.inSize = layer.outDim;
+    output.outSize = layer.outDim;
+    output.relu = false;
+    output.label = "output 3";
+    program.ops.push_back(output);
 
     auto config = smallConfig();
     config.peSets = 1;
@@ -505,8 +520,8 @@ TEST(BatchedRunnerParallel, WideFormatsConstructAndRun)
     const auto xs = randomBatch(5, layer.inDim, 21);
     const auto out = roundOutputs(runner, xs, 5, layer.inDim, 8);
     for (const auto v : out) {
-        EXPECT_GE(v, network.activationFormat.rawMin());
-        EXPECT_LE(v, network.activationFormat.rawMax());
+        EXPECT_GE(v, program.activationFormat.rawMin());
+        EXPECT_LE(v, program.activationFormat.rawMax());
     }
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for model serialization: bit-exact round trips for all four
- * file kinds (MLP, ConvNet, quantized network, compiled program),
- * prediction equivalence after reload, and failure injection —
- * truncation, bit corruption, wrong magic, and cross-kind loads must
- * all be rejected (never reach the accelerator).
+ * Tests for model serialization: bit-exact round trips for the three
+ * written file kinds (MLP, ConvNet, compiled program), prediction
+ * equivalence after reload, legacy flat-network images (file kind 2,
+ * no longer written) loading as the program compile() emits, and
+ * failure injection — truncation, bit corruption, wrong magic, and
+ * cross-kind loads must all be rejected (never reach the accelerator).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -55,6 +57,63 @@ makeMlp()
 {
     Rng rng(5);
     return bnn::BayesianMlp({12, 8, 4}, rng);
+}
+
+void
+putLe(std::vector<char> &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/**
+ * A legacy flat-network image (file kind 2) of the program's dense
+ * banks, written from the file layout alone so the test does not
+ * depend on any library writer: magic "VIBNNMDL", version 1, kind 2,
+ * six format words (total/frac bits of the activation, weight and eps
+ * grids), the layer count, then per layer in, out and the mu/sigma
+ * weight and bias planes (each a u64 count plus int32 values), and an
+ * FNV-1a trailer over everything after the magic. Little-endian.
+ */
+std::vector<char>
+legacyNetworkImage(const accel::QuantizedProgram &program)
+{
+    std::vector<char> image{'V', 'I', 'B', 'N', 'N', 'M', 'D', 'L'};
+    const auto u32 = [&](std::uint32_t v) { putLe(image, v, 4); };
+    const auto u64 = [&](std::uint64_t v) { putLe(image, v, 8); };
+    const auto plane = [&](const std::vector<std::int32_t> &values) {
+        u64(values.size());
+        for (const std::int32_t v : values)
+            u32(static_cast<std::uint32_t>(v));
+    };
+    u32(1); // format version
+    u32(2); // kind: flat network
+    for (const auto &fmt : {program.activationFormat, program.weightFormat,
+                            program.epsFormat}) {
+        u32(static_cast<std::uint32_t>(fmt.totalBits()));
+        u32(static_cast<std::uint32_t>(fmt.fracBits()));
+    }
+    std::vector<const accel::QuantizedLayer *> layers;
+    for (const auto &op : program.ops) {
+        if (op.kind == accel::OpKind::Dense)
+            layers.push_back(&op.bank);
+    }
+    u64(layers.size());
+    for (const auto *layer : layers) {
+        u64(layer->inDim);
+        u64(layer->outDim);
+        plane(layer->muWeight);
+        plane(layer->sigmaWeight);
+        plane(layer->muBias);
+        plane(layer->sigmaBias);
+    }
+    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    for (std::size_t i = 8; i < image.size(); ++i) {
+        hash = (hash ^ static_cast<std::uint8_t>(image[i])) *
+            0x100000001B3ULL;
+    }
+    putLe(image, hash, 8);
+    return image;
 }
 
 } // namespace
@@ -139,33 +198,66 @@ TEST(ModelIo, ConvNetRoundTripIsBitExact)
     std::remove(path.c_str());
 }
 
-TEST(ModelIo, QuantizedNetworkRoundTrip)
+TEST(ModelIo, LegacyNetworkImageLoadsAsCompiledProgram)
 {
-    const auto path = tempPath("quant_rt");
+    // Older releases wrote quantized MLPs as flat-network images; the
+    // program loader lifts them into exactly what compile() emits.
+    const auto path = tempPath("legacy_net");
     auto net = makeMlp();
     accel::AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto quantized = accel::quantizeNetwork(net, config);
-    ASSERT_TRUE(saveQuantizedNetwork(quantized, path));
+    const auto program = accel::compile(net, config);
+    auto bytes = legacyNetworkImage(program);
+    spit(path, bytes);
 
-    auto loaded = loadQuantizedNetwork(path);
+    auto loaded = loadQuantizedProgram(path);
     ASSERT_NE(loaded, nullptr);
-    ASSERT_EQ(loaded->layers.size(), quantized.layers.size());
-    for (std::size_t l = 0; l < quantized.layers.size(); ++l) {
-        EXPECT_EQ(loaded->layers[l].inDim, quantized.layers[l].inDim);
-        EXPECT_EQ(loaded->layers[l].muWeight,
-                  quantized.layers[l].muWeight);
-        EXPECT_EQ(loaded->layers[l].sigmaWeight,
-                  quantized.layers[l].sigmaWeight);
-        EXPECT_EQ(loaded->layers[l].muBias, quantized.layers[l].muBias);
-        EXPECT_EQ(loaded->layers[l].sigmaBias,
-                  quantized.layers[l].sigmaBias);
+    ASSERT_EQ(loaded->ops.size(), program.ops.size());
+    for (std::size_t i = 0; i < program.ops.size(); ++i) {
+        const auto &a = program.ops[i];
+        const auto &b = loaded->ops[i];
+        EXPECT_EQ(a.kind, b.kind) << "op " << i;
+        EXPECT_EQ(a.label, b.label) << "op " << i;
+        EXPECT_EQ(a.inSize, b.inSize) << "op " << i;
+        EXPECT_EQ(a.outSize, b.outSize) << "op " << i;
+        EXPECT_EQ(a.relu, b.relu) << "op " << i;
+        EXPECT_EQ(a.bank.inDim, b.bank.inDim) << "op " << i;
+        EXPECT_EQ(a.bank.outDim, b.bank.outDim) << "op " << i;
+        EXPECT_EQ(a.bank.muWeight, b.bank.muWeight) << "op " << i;
+        EXPECT_EQ(a.bank.sigmaWeight, b.bank.sigmaWeight) << "op " << i;
+        EXPECT_EQ(a.bank.muBias, b.bank.muBias) << "op " << i;
+        EXPECT_EQ(a.bank.sigmaBias, b.bank.sigmaBias) << "op " << i;
     }
-    EXPECT_EQ(loaded->activationFormat.totalBits(),
-              quantized.activationFormat.totalBits());
-    EXPECT_EQ(loaded->weightFormat.fracBits(),
-              quantized.weightFormat.fracBits());
+    EXPECT_EQ(loaded->activationFormat, program.activationFormat);
+    EXPECT_EQ(loaded->weightFormat, program.weightFormat);
+    EXPECT_EQ(loaded->epsFormat, program.epsFormat);
+
+    // The lifted program runs bit-identically to the compiled one.
+    auto gen_a = grng::makeGenerator("rlf", 23);
+    auto gen_b = grng::makeGenerator("rlf", 23);
+    accel::FunctionalRunner run_a(program, config, gen_a.get());
+    accel::FunctionalRunner run_b(*loaded, config, gen_b.get());
+    Rng data(29);
+    std::vector<float> x(program.inputDim());
+    for (auto &v : x)
+        v = static_cast<float>(data.uniform(0, 1));
+    for (int pass = 0; pass < 3; ++pass)
+        EXPECT_EQ(run_a.runPass(x.data()), run_b.runPass(x.data()))
+            << "pass " << pass;
+
+    // The checksum still guards a legacy payload, and structural
+    // rejections (no layers, a plane that does not match its layer's
+    // dims) return nullptr too.
+    bytes[bytes.size() / 2] ^= 0x40;
+    spit(path, bytes);
+    EXPECT_EQ(loadQuantizedProgram(path), nullptr);
+    spit(path, legacyNetworkImage(accel::QuantizedProgram{}));
+    EXPECT_EQ(loadQuantizedProgram(path), nullptr);
+    auto short_plane = program;
+    short_plane.ops[0].bank.muBias.pop_back();
+    spit(path, legacyNetworkImage(short_plane));
+    EXPECT_EQ(loadQuantizedProgram(path), nullptr);
     std::remove(path.c_str());
 }
 
@@ -235,15 +327,13 @@ TEST(ModelIo, QuantizedProgramCorruptionAndCrossKindRejected)
     accel::AcceleratorConfig config;
     config.peSets = 2;
     config.pesPerSet = 4;
-    const auto program =
-        accel::programFromNetwork(accel::quantizeNetwork(net, config));
+    const auto program = accel::compile(net, config);
     ASSERT_TRUE(saveQuantizedProgram(program, path));
 
-    // A program image is not a network image and vice versa.
-    EXPECT_EQ(loadQuantizedNetwork(path), nullptr);
+    // A program image is not an MLP image and vice versa.
+    EXPECT_EQ(loadBayesianMlp(path), nullptr);
     auto bytes = slurp(path);
-    ASSERT_TRUE(saveQuantizedNetwork(accel::quantizeNetwork(net, config),
-                                     path));
+    ASSERT_TRUE(saveBayesianMlp(net, path));
     EXPECT_EQ(loadQuantizedProgram(path), nullptr);
 
     // Checksum still guards the payload.
@@ -309,7 +399,7 @@ TEST(ModelIo, CrossKindLoadRejected)
     ASSERT_TRUE(saveBayesianMlp(net, path));
     // An MLP image is not a ConvNet image nor a quantized image.
     EXPECT_EQ(loadBayesianConvNet(path), nullptr);
-    EXPECT_EQ(loadQuantizedNetwork(path), nullptr);
+    EXPECT_EQ(loadQuantizedProgram(path), nullptr);
     std::remove(path.c_str());
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the QuantizedProgram IR and its compile-and-execute
- * pipeline: compiler front-ends for MLP and CNN models, bit-exact
- * equivalence of the two executors on multi-op CNN programs, the
- * per-position fresh-weight-sample semantics inherited from the conv
- * lowering, the analytic cycle model, McEngine thread-count invariance
- * on CNN programs, and the empty-program fatal contract.
+ * pipeline: the compiler front-ends for MLP and CNN models and for a
+ * single conv layer, bit-exact equivalence of the two executors on
+ * multi-op CNN and one-conv programs, the per-position
+ * fresh-weight-sample semantics of ConvLowered ops, the analytic cycle
+ * model, McEngine thread-count invariance on CNN programs, and the
+ * empty-program fatal contract.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "accel/config.hh"
-#include "accel/conv_lowering.hh"
 #include "accel/design_space.hh"
 #include "accel/functional.hh"
 #include "accel/mc_engine.hh"
@@ -127,32 +127,30 @@ TEST(ProgramCompile, CnnProgramShape)
     EXPECT_EQ(program.ops[5].inSize, 16u);
 }
 
-TEST(ProgramCompile, MlpProgramMatchesLegacyNetworkPath)
+TEST(ProgramCompile, SingleConvProgramShape)
 {
-    // The compiled MLP program and the legacy flat-QuantizedNetwork
-    // constructors must execute identically, bit for bit, on both
-    // executors (the refactor cannot move the MLP results).
-    Rng rng(7);
-    bnn::BayesianMlp net({32, 16, 4}, rng);
+    // compile(layer) emits exactly the ConvLowered op that
+    // compile(BayesianConvNet) emits for the same layer, then Output.
+    auto net = tinyCnn(3);
     AcceleratorConfig config = tinyConfig();
-    const auto program = compile(net, config);
-    const auto network = quantizeNetwork(net, config);
+    const auto whole = compile(net, config);
+    const auto single =
+        compile(net.convLayers().front(), config, /*relu=*/false);
 
-    auto gen_a = grng::makeGenerator("rlf", 99);
-    auto gen_b = grng::makeGenerator("rlf", 99);
-    auto gen_c = grng::makeGenerator("rlf", 99);
-    Simulator sim_program(program, config, gen_a.get());
-    Simulator sim_legacy(network, config, gen_b.get());
-    FunctionalRunner fun_program(program, config, gen_c.get());
-
-    const auto x = randomImage(32, 11);
-    for (int pass = 0; pass < 3; ++pass) {
-        const auto a = sim_program.runPass(x.data());
-        const auto b = sim_legacy.runPass(x.data());
-        const auto c = fun_program.runPass(x.data());
-        ASSERT_EQ(a, b) << "pass " << pass;
-        ASSERT_EQ(a, c) << "pass " << pass;
-    }
+    ASSERT_EQ(single.ops.size(), 2u);
+    const auto &conv = single.ops[0];
+    const auto &reference = whole.ops[0];
+    EXPECT_EQ(conv.kind, OpKind::ConvLowered);
+    EXPECT_EQ(conv.label, reference.label);
+    EXPECT_EQ(conv.inSize, reference.inSize);
+    EXPECT_EQ(conv.outSize, reference.outSize);
+    EXPECT_FALSE(conv.relu);
+    EXPECT_EQ(conv.bank.muWeight, reference.bank.muWeight);
+    EXPECT_EQ(conv.bank.sigmaWeight, reference.bank.sigmaWeight);
+    EXPECT_EQ(conv.bank.muBias, reference.bank.muBias);
+    EXPECT_EQ(conv.bank.sigmaBias, reference.bank.sigmaBias);
+    EXPECT_EQ(single.ops[1].kind, OpKind::Output);
+    EXPECT_EQ(single.outputDim(), reference.outSize);
 }
 
 TEST(ProgramExecution, CnnSimulatorAndFunctionalBitExact)
@@ -226,28 +224,17 @@ TEST(ProgramExecution, CycleCountMatchesAnalyticProgramModel)
 
 TEST(ProgramExecution, ConvOpDrawsFreshSamplesPerPosition)
 {
-    // The semantics inherited from ConvLayerRunner: every output
-    // position re-samples the filter bank. With a constant input map
-    // every position sees the identical patch, so any spread across
-    // positions can only come from fresh eps draws.
+    // The ConvLowered semantics: every output position re-samples the
+    // filter bank. With a constant input map every position sees the
+    // identical patch, so any spread across positions can only come
+    // from fresh eps draws.
     auto net = tinyCnn(43, /*rho_init=*/-1.0f);
     AcceleratorConfig config = tinyConfig();
-    const auto program = compile(net, config);
-    const auto &conv = program.ops.front();
-    ASSERT_EQ(conv.kind, OpKind::ConvLowered);
-
     // Single-op program: just the first conv + output staging.
-    QuantizedProgram single;
-    single.activationFormat = program.activationFormat;
-    single.weightFormat = program.weightFormat;
-    single.epsFormat = program.epsFormat;
-    single.ops.push_back(conv);
-    ProgramOp out;
-    out.kind = OpKind::Output;
-    out.inSize = conv.outSize;
-    out.outSize = conv.outSize;
-    out.label = "output";
-    single.ops.push_back(out);
+    const auto single =
+        compile(net.convLayers().front(), config, /*relu=*/true);
+    const auto &conv = single.ops.front();
+    ASSERT_EQ(conv.kind, OpKind::ConvLowered);
 
     auto gen = grng::makeGenerator("rlf", 47);
     Simulator sim(single, config, gen.get());
@@ -296,52 +283,6 @@ TEST(ProgramExecution, SigmaZeroCnnIsDeterministic)
     Simulator sim_b(program, config, gen_b.get());
     const auto x = randomImage(program.inputDim(), 59);
     EXPECT_EQ(sim_a.runPass(x.data()), sim_b.runPass(x.data()));
-}
-
-TEST(ProgramExecution, ConvProgramMatchesConvLayerRunner)
-{
-    // A one-conv program executed through the generic pipeline must
-    // reproduce ConvLayerRunner (itself now a wrapper) bit for bit —
-    // same lowering, same eps order.
-    nn::ConvSpec spec;
-    spec.inChannels = 1;
-    spec.inHeight = 6;
-    spec.inWidth = 6;
-    spec.outChannels = 2;
-    spec.kernel = 3;
-    spec.pad = 1;
-
-    AcceleratorConfig config = tinyConfig();
-    Rng rng(61);
-    bnn::VariationalConv2d layer(spec, rng, -2.0f);
-
-    auto gen_a = grng::makeGenerator("rlf", 67);
-    ConvLayerRunner runner(layer, config, gen_a.get(), /*relu=*/true);
-
-    QuantizedProgram program;
-    program.activationFormat = config.activationFormat();
-    program.weightFormat = config.weightFormat();
-    program.epsFormat = config.epsFormat();
-    ProgramOp op;
-    op.kind = OpKind::ConvLowered;
-    op.conv = spec;
-    op.inSize = spec.inputSize();
-    op.outSize = spec.outputSize();
-    op.relu = true;
-    op.bank = quantizeConvLayer(layer, config).layers.front();
-    program.ops.push_back(op);
-    ProgramOp out;
-    out.kind = OpKind::Output;
-    out.inSize = spec.outputSize();
-    out.outSize = spec.outputSize();
-    out.label = "output";
-    program.ops.push_back(out);
-
-    auto gen_b = grng::makeGenerator("rlf", 67);
-    Simulator sim(program, config, gen_b.get());
-
-    const auto x = randomImage(spec.inputSize(), 71);
-    EXPECT_EQ(runner.runPass(x.data()), sim.runPass(x.data()));
 }
 
 TEST(ProgramExecution, McEngineCnnThreadCountInvariance)
@@ -398,24 +339,7 @@ TEST(ProgramExecution, PatchWiderThanMapsStillBitExact)
     Rng rng(101);
     bnn::VariationalConv2d layer(spec, rng, -2.0f);
 
-    QuantizedProgram program;
-    program.activationFormat = config.activationFormat();
-    program.weightFormat = config.weightFormat();
-    program.epsFormat = config.epsFormat();
-    ProgramOp op;
-    op.kind = OpKind::ConvLowered;
-    op.conv = spec;
-    op.inSize = spec.inputSize();
-    op.outSize = spec.outputSize();
-    op.relu = true;
-    op.bank = quantizeConvLayer(layer, config).layers.front();
-    program.ops.push_back(op);
-    ProgramOp out;
-    out.kind = OpKind::Output;
-    out.inSize = spec.outputSize();
-    out.outSize = spec.outputSize();
-    out.label = "output";
-    program.ops.push_back(out);
+    const auto program = compile(layer, config, /*relu=*/true);
 
     auto gen_a = grng::makeGenerator("rlf", 103);
     auto gen_b = grng::makeGenerator("rlf", 103);
@@ -432,13 +356,6 @@ TEST(ProgramValidation, EmptyProgramIsFatal)
     EXPECT_DEATH(program.outputDim(), "no ops");
     AcceleratorConfig config = tinyConfig();
     EXPECT_DEATH(validateProgram(program, config), "no ops");
-}
-
-TEST(ProgramValidation, EmptyQuantizedNetworkIsFatal)
-{
-    QuantizedNetwork network;
-    EXPECT_DEATH(network.inputDim(), "no layers");
-    EXPECT_DEATH(network.outputDim(), "no layers");
 }
 
 TEST(ProgramValidation, DrainConstraintAppliesToConvBanks)

@@ -84,7 +84,7 @@ class SimulatorSweep : public ::testing::TestWithParam<Sweep>
         config_.peSets = p.peSets;
         config_.pesPerSet = p.pesPerSet;
         config_.bits = p.bits;
-        quantized_ = quantizeNetwork(*net_, config_);
+        program_ = compile(*net_, config_);
         input_.resize(p.layers.front());
         Rng in_rng(5);
         for (auto &v : input_)
@@ -93,14 +93,14 @@ class SimulatorSweep : public ::testing::TestWithParam<Sweep>
 
     std::unique_ptr<bnn::BayesianMlp> net_;
     AcceleratorConfig config_;
-    QuantizedNetwork quantized_;
+    QuantizedProgram program_;
     std::vector<float> input_;
 };
 
 TEST_P(SimulatorSweep, CycleCountMatchesClosedForm)
 {
     auto gen = grng::makeGenerator(GetParam().grng, 3);
-    Simulator sim(quantized_, config_, gen.get());
+    Simulator sim(program_, config_, gen.get());
     sim.runPass(input_.data());
     EXPECT_EQ(sim.stats().totalCycles,
               analyticCycles(GetParam().layers, config_.peSets,
@@ -111,8 +111,8 @@ TEST_P(SimulatorSweep, FunctionalBitExact)
 {
     auto gen_a = grng::makeGenerator(GetParam().grng, 11);
     auto gen_b = grng::makeGenerator(GetParam().grng, 11);
-    Simulator sim(quantized_, config_, gen_a.get());
-    FunctionalRunner fun(quantized_, config_, gen_b.get());
+    Simulator sim(program_, config_, gen_a.get());
+    FunctionalRunner fun(program_, config_, gen_b.get());
     for (int pass = 0; pass < 3; ++pass)
         ASSERT_EQ(sim.runPass(input_.data()), fun.runPass(input_.data()))
             << "pass " << pass;
@@ -122,8 +122,8 @@ TEST_P(SimulatorSweep, DeterministicGivenSeed)
 {
     auto gen_a = grng::makeGenerator(GetParam().grng, 13);
     auto gen_b = grng::makeGenerator(GetParam().grng, 13);
-    Simulator sim_a(quantized_, config_, gen_a.get());
-    Simulator sim_b(quantized_, config_, gen_b.get());
+    Simulator sim_a(program_, config_, gen_a.get());
+    Simulator sim_b(program_, config_, gen_b.get());
     EXPECT_EQ(sim_a.runPass(input_.data()),
               sim_b.runPass(input_.data()));
 }
@@ -131,7 +131,7 @@ TEST_P(SimulatorSweep, DeterministicGivenSeed)
 TEST_P(SimulatorSweep, TrafficAccountingIdentities)
 {
     auto gen = grng::makeGenerator(GetParam().grng, 17);
-    Simulator sim(quantized_, config_, gen.get());
+    Simulator sim(program_, config_, gen.get());
     sim.runPass(input_.data());
     const auto &stats = sim.stats();
 
@@ -157,19 +157,19 @@ TEST_P(SimulatorSweep, TrafficAccountingIdentities)
 TEST_P(SimulatorSweep, OutputsOnActivationGrid)
 {
     auto gen = grng::makeGenerator(GetParam().grng, 19);
-    Simulator sim(quantized_, config_, gen.get());
+    Simulator sim(program_, config_, gen.get());
     const auto out = sim.runPass(input_.data());
     EXPECT_EQ(out.size(), GetParam().layers.back());
     for (auto raw : out) {
-        EXPECT_GE(raw, quantized_.activationFormat.rawMin());
-        EXPECT_LE(raw, quantized_.activationFormat.rawMax());
+        EXPECT_GE(raw, program_.activationFormat.rawMin());
+        EXPECT_LE(raw, program_.activationFormat.rawMax());
     }
 }
 
 TEST_P(SimulatorSweep, UtilizationBounded)
 {
     auto gen = grng::makeGenerator(GetParam().grng, 23);
-    Simulator sim(quantized_, config_, gen.get());
+    Simulator sim(program_, config_, gen.get());
     sim.runPass(input_.data());
     const double u = sim.stats().utilization(config_.totalPes(),
                                              config_.peInputs());
@@ -201,9 +201,9 @@ TEST(SimulatorEdge, McSamplesScaleImages)
     config.peSets = 1;
     config.pesPerSet = 4;
     config.mcSamples = 7;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
-    Simulator sim(q, config, gen.get());
+    Simulator sim(program, config, gen.get());
     std::vector<float> x(16, 0.5f);
     sim.classify(x.data());
     EXPECT_EQ(sim.stats().images, 7u);
@@ -219,9 +219,9 @@ TEST(SimulatorEdge, RepeatedPassesAccumulateStats)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
-    Simulator sim(q, config, gen.get());
+    Simulator sim(program, config, gen.get());
     std::vector<float> x(16, 0.5f);
     sim.runPass(x.data());
     const auto cycles_one = sim.stats().totalCycles;
@@ -236,13 +236,13 @@ TEST(SimulatorEdge, InputOutsideRangeSaturates)
     AcceleratorConfig config;
     config.peSets = 1;
     config.pesPerSet = 4;
-    const auto q = quantizeNetwork(net, config);
+    const auto program = compile(net, config);
     auto gen = grng::makeGenerator("rlf", 3);
-    FunctionalRunner fun(q, config, gen.get());
+    FunctionalRunner fun(program, config, gen.get());
     std::vector<float> x(8, 1e6f); // saturates the activation grid
     const auto out = fun.runPass(x.data());
     for (auto raw : out) {
-        EXPECT_GE(raw, q.activationFormat.rawMin());
-        EXPECT_LE(raw, q.activationFormat.rawMax());
+        EXPECT_GE(raw, program.activationFormat.rawMin());
+        EXPECT_LE(raw, program.activationFormat.rawMax());
     }
 }
