@@ -1,6 +1,7 @@
 #include "accel/batched_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include <unistd.h>
@@ -58,7 +59,34 @@ pickImageTile(std::size_t lane_width)
     return std::clamp<std::size_t>(tile, 8, 256);
 }
 
+/** Draw-cache budget bytes reserved by every runner of the process. */
+std::atomic<std::size_t> g_drawCacheBytes{0};
+
 } // namespace
+
+std::size_t
+BatchedRunner::drawCacheBytes()
+{
+    return g_drawCacheBytes.load(std::memory_order_relaxed);
+}
+
+bool
+BatchedRunner::reserveDrawCache(std::size_t bytes)
+{
+    std::size_t held = g_drawCacheBytes.load(std::memory_order_relaxed);
+    do {
+        if (bytes > kDrawCacheBudget - held)
+            return false;
+    } while (!g_drawCacheBytes.compare_exchange_weak(
+        held, held + bytes, std::memory_order_relaxed));
+    return true;
+}
+
+void
+BatchedRunner::releaseDrawCache(std::size_t bytes)
+{
+    g_drawCacheBytes.fetch_sub(bytes, std::memory_order_relaxed);
+}
 
 BatchedRunner::BatchedRunner(const QuantizedProgram &program,
                              const AcceleratorConfig &config,
@@ -124,6 +152,11 @@ BatchedRunner::BatchedRunner(const QuantizedProgram &program,
     imageTile_ = pickImageTile(laneWidth_);
     patches_.resize(1);
     patches16_.resize(1);
+}
+
+BatchedRunner::~BatchedRunner()
+{
+    releaseDrawCache(drawCacheBytes_);
 }
 
 void
@@ -201,13 +234,12 @@ BatchedRunner::sampleWeightRange(std::size_t shard, std::size_t w0,
             const std::size_t off = at - op_base;
             weightGen_.sampleBlockFusedAt(
                 op.bank.muWeight.data() + off,
-                op.bank.sigmaWeight.data() + off,
-                weightArena_.data() + at, take, base + at,
-                eps_scratch);
+                op.bank.sigmaWeight.data() + off, roundWeights_ + at,
+                take, base + at, eps_scratch);
         }
         if (opInt16_[oi])
-            ops.packInt16(weightArena_.data() + lo,
-                          weightArena16_.data() + lo, hi - lo);
+            ops.packInt16(roundWeights_ + lo, roundWeights16_ + lo,
+                          hi - lo);
     }
 }
 
@@ -236,7 +268,6 @@ BatchedRunner::sampleRoundWeights()
                 sampleWeightRange(s, w0, w1, base);
         });
         weightGen_.finishShardedRound(base + total);
-        injectWeightFaults();
         return;
     }
 
@@ -244,13 +275,45 @@ BatchedRunner::sampleRoundWeights()
     for (const std::size_t oi : computeOps_) {
         const auto &op = program_.ops[oi];
         const std::size_t n = op.bank.outDim * op.bank.inDim;
-        std::int32_t *slab = weightArena_.data() + opWeightBase_[oi];
+        std::int32_t *slab = roundWeights_ + opWeightBase_[oi];
         weightGen_.sampleBlockFused(op.bank.muWeight.data(),
                                     op.bank.sigmaWeight.data(), slab, n);
         if (opInt16_[oi])
-            ops.packInt16(slab,
-                          weightArena16_.data() + opWeightBase_[oi], n);
+            ops.packInt16(slab, roundWeights16_ + opWeightBase_[oi], n);
     }
+}
+
+void
+BatchedRunner::prepareRoundWeights()
+{
+    const std::size_t total = weightArena_.size();
+    roundWeights_ = weightArena_.data();
+    roundWeights16_ = weightArena16_.data();
+    std::string key = weightGen_.freshStreamKey();
+    if (!key.empty()) {
+        const auto hit = drawCache_.find(key);
+        if (hit != drawCache_.end()) {
+            // A recurring stream: its draw is already here. Book the
+            // round's eps as consumed so the stream stays aligned for
+            // whatever the generator draws next.
+            weightGen_.skipFresh(total);
+            roundWeights_ = hit->second.weights.data();
+            roundWeights16_ = hit->second.weights16.data();
+            injectWeightFaults();
+            return;
+        }
+        const std::size_t bytes = total * sizeof(std::int32_t) +
+            weightArena16_.size() * sizeof(std::int16_t);
+        if (reserveDrawCache(bytes)) {
+            drawCacheBytes_ += bytes;
+            CachedDraw &draw = drawCache_[std::move(key)];
+            draw.weights.resize(total);
+            draw.weights16.resize(weightArena16_.size());
+            roundWeights_ = draw.weights.data();
+            roundWeights16_ = draw.weights16.data();
+        }
+    }
+    sampleRoundWeights();
     injectWeightFaults();
 }
 
@@ -263,14 +326,14 @@ BatchedRunner::injectWeightFaults()
     if (rate <= 0.0 || weightArena_.empty())
         return;
 
-    // Seed the flip stream from a content hash of the freshly drawn
+    // Seed the flip stream from a content hash of the round's clean
     // arena XOR the site seed. The arena is bit-identical per round
-    // regardless of thread count or shard assignment (the determinism
-    // contract), so the flip pattern is too — a chaos run replays
-    // exactly on any machine configuration.
+    // regardless of thread count, shard assignment or cache hit (the
+    // determinism contract), so the flip pattern is too — a chaos run
+    // replays exactly on any machine configuration.
     std::uint64_t hash = 1469598103934665603ull; // FNV-1a basis
     const auto *bytes =
-        reinterpret_cast<const unsigned char *>(weightArena_.data());
+        reinterpret_cast<const unsigned char *>(roundWeights_);
     const std::size_t nbytes =
         weightArena_.size() * sizeof(std::int32_t);
     for (std::size_t i = 0; i < nbytes; ++i) {
@@ -302,6 +365,13 @@ BatchedRunner::injectWeightFaults()
         pos += static_cast<std::uint64_t>(skip_f) + 1;
         if (pos > space_bits)
             break;
+        if (flips == 0 && roundWeights_ != weightArena_.data()) {
+            // Flip a copy: the cached draw must stay clean.
+            std::copy(roundWeights_, roundWeights_ + weightArena_.size(),
+                      weightArena_.data());
+            roundWeights_ = weightArena_.data();
+            roundWeights16_ = weightArena16_.data();
+        }
         const std::uint64_t bit_index = pos - 1;
         const std::size_t slot =
             static_cast<std::size_t>(bit_index / total_bits);
@@ -355,7 +425,7 @@ BatchedRunner::runDenseBatch(const ProgramOp &op, std::size_t op_index,
     }
 
     kernels::GemmArgs args;
-    args.weights = weightArena_.data() + opWeightBase_[op_index];
+    args.weights = roundWeights_ + opWeightBase_[op_index];
     args.ldw = in_dim;
     args.lda = laneWidth_;
     args.bias = op.bank.muBias.data();
@@ -366,7 +436,7 @@ BatchedRunner::runDenseBatch(const ProgramOp &op, std::size_t op_index,
     args.finish = finishBase_;
     args.finish.relu = op.relu;
     if (use16)
-        args.weights16 = weightArena16_.data() + opWeightBase_[op_index];
+        args.weights16 = roundWeights16_ + opWeightBase_[op_index];
 
     for (std::size_t b0 = begin; b0 < end; b0 += imageTile_) {
         const std::size_t b1 = std::min(b0 + imageTile_, end);
@@ -392,7 +462,7 @@ BatchedRunner::runConvBatch(const ProgramOp &op, std::size_t op_index,
     auto &patches16 = patches16_[shard];
 
     kernels::GemmArgs args;
-    args.weights = weightArena_.data() + opWeightBase_[op_index];
+    args.weights = roundWeights_ + opWeightBase_[op_index];
     args.ldw = patch;
     args.lda = patch;
     args.bias = op.bank.muBias.data();
@@ -404,7 +474,7 @@ BatchedRunner::runConvBatch(const ProgramOp &op, std::size_t op_index,
     args.finish = finishBase_;
     args.finish.relu = op.relu;
     if (use16)
-        args.weights16 = weightArena16_.data() + opWeightBase_[op_index];
+        args.weights16 = roundWeights16_ + opWeightBase_[op_index];
 
     for (std::size_t b = begin; b < end; ++b) {
         im2colRaw(op.conv, act_in + b * laneWidth_, patches);
@@ -430,7 +500,7 @@ BatchedRunner::runRoundImpl(const float *xs, std::size_t stride,
     if (count == 0)
         return;
 
-    sampleRoundWeights();
+    prepareRoundWeights();
 
     // Quantize the batch onto the activation grid, batch-major. With an
     // index set (adaptive active-set compaction) the gather happens

@@ -51,12 +51,30 @@
  * outputs are bit-identical for any shard count (ctest-pinned across
  * 1/2/5 threads). McEngine revokes the pool whenever its round-level
  * scheduling already owns the workers (oversubscription guard).
+ *
+ * Weight-ensemble cache: a round's arena is a pure function of the
+ * program and the eps stream it reads. When a round starts on a fresh
+ * stream — a generator that has drawn nothing since construction or
+ * reseed(), named by GaussianGenerator::freshStreamKey() — the runner
+ * keeps the clean arena (int32 plus the int16 mirror) under that key.
+ * A later round on an equal-keyed stream skips the GRNG and the weight
+ * sampling: it books the round's eps as consumed (skipFresh) and runs
+ * its GEMMs straight on the cached arena. Sessions serve every request
+ * from one seed, so McEngine's round r reads the identical stream
+ * (roundSeed(seedBase, r)) on every pass, and a warm pass is only
+ * GEMMs. Results are bit-identical by construction. Entries live as
+ * long as the runner; all runners of the process share one budget of
+ * kDrawCacheBudget bytes, and a round that cannot reserve its entry
+ * regenerates as before. Generators without a key (BNNWallace, the
+ * baselines) always regenerate.
  */
 
 #ifndef VIBNN_ACCEL_BATCHED_RUNNER_HH
 #define VIBNN_ACCEL_BATCHED_RUNNER_HH
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "accel/config.hh"
@@ -72,9 +90,32 @@ namespace vibnn::accel
 class BatchedRunner : public Executor
 {
   public:
+    /** Bytes of cached draws all runners of the process may hold
+     *  together (see the file comment). */
+    static constexpr std::size_t kDrawCacheBudget = std::size_t{256} << 20;
+
     BatchedRunner(const QuantizedProgram &program,
                   const AcceleratorConfig &config,
                   grng::GaussianGenerator *generator);
+
+    /** Releases this runner's share of the draw-cache budget. */
+    ~BatchedRunner() override;
+
+    BatchedRunner(const BatchedRunner &) = delete;
+    BatchedRunner &operator=(const BatchedRunner &) = delete;
+    BatchedRunner(BatchedRunner &&) = delete;
+    BatchedRunner &operator=(BatchedRunner &&) = delete;
+
+    /** Budget bytes the cached draws of every runner hold now. */
+    static std::size_t drawCacheBytes();
+
+    /** Take `bytes` of the draw-cache budget; false (taking nothing)
+     *  when they do not fit. Each cached draw reserves its size here,
+     *  and a caller may hold budget back the same way. */
+    static bool reserveDrawCache(std::size_t bytes);
+
+    /** Return `bytes` taken by reserveDrawCache. */
+    static void releaseDrawCache(std::size_t bytes);
 
     /** Untimed; true batched weight reuse. */
     ExecutorCaps
@@ -128,10 +169,17 @@ class BatchedRunner : public Executor
                       const std::uint32_t *indices, std::size_t count,
                       std::int64_t *out);
 
-    /** Draw this round's weight set into the arena (op order). With a
-     *  work pool and a splittable eps source (philox), the draw itself
-     *  shards across workers via the counter-based random-access path —
-     *  bit-identical to the sequential draw for any shard count. */
+    /** Point roundWeights_ at this round's arena: the cached draw of a
+     *  recurring fresh stream, else a new draw — into a new cache
+     *  entry when the stream is fresh and the budget allows, into the
+     *  scratch arena otherwise. Then injects faults. */
+    void prepareRoundWeights();
+
+    /** Draw this round's weight set into roundWeights_ (op order).
+     *  With a work pool and a splittable eps source (philox), the draw
+     *  itself shards across workers via the counter-based
+     *  random-access path — bit-identical to the sequential draw for
+     *  any shard count. */
     void sampleRoundWeights();
 
     /** Sharded body of sampleRoundWeights: sample global weight indices
@@ -139,13 +187,14 @@ class BatchedRunner : public Executor
     void sampleWeightRange(std::size_t shard, std::size_t w0,
                            std::size_t w1, std::uint64_t base);
 
-    /** Chaos-only bit-flip injection over the freshly drawn weight
-     *  arena (the "accel.weights.bitflip" fault site, p = per-bit
-     *  flip rate). No-op unless the fault registry is armed. The flip
-     *  pattern is seeded from a content hash of the arena itself, so
-     *  it is deterministic across thread counts and shard assignments
-     *  (the drawn arena is bit-identical by contract); flips do not
-     *  accumulate — every round draws fresh weights first. */
+    /** Chaos-only bit-flip injection over the round's weight arena
+     *  (the "accel.weights.bitflip" fault site, p = per-bit flip
+     *  rate). No-op unless the fault registry is armed. The flip
+     *  pattern is seeded from a content hash of the clean arena, so it
+     *  is deterministic across thread counts, shard assignments and
+     *  cache hits (the arena is bit-identical by contract). Flips land
+     *  in the scratch arena, never in a cached draw, and do not
+     *  accumulate — every round starts from a clean copy. */
     void injectWeightFaults();
 
     /** Run body(shard, begin, end) over a static partition of
@@ -175,15 +224,30 @@ class BatchedRunner : public Executor
     WeightGenerator weightGen_;
     CycleStats stats_;
 
-    /** SoA weight arena: one flat int32 slab per compute op (offsets
-     *  indexed like program_.ops; non-compute ops share the next
-     *  base), reused across rounds; 64-byte-aligned for the SIMD
-     *  tiers. */
+    /** Scratch SoA weight arena: one flat int32 slab per compute op
+     *  (offsets indexed like program_.ops; non-compute ops share the
+     *  next base), reused across rounds; 64-byte-aligned for the SIMD
+     *  tiers. Holds rounds that are not cached and fault copies. */
     kernels::AlignedVector<std::int32_t> weightArena_;
     std::vector<std::size_t> opWeightBase_;
     /** int16-packed arena mirror for ops eligible for the madd fast
      *  path (same offsets; untouched for ineligible ops). */
     kernels::AlignedVector<std::int16_t> weightArena16_;
+
+    /** A cached draw: the clean arena and mirror of one fresh stream. */
+    struct CachedDraw
+    {
+        kernels::AlignedVector<std::int32_t> weights;
+        kernels::AlignedVector<std::int16_t> weights16;
+    };
+    /** The weight-ensemble cache, keyed by freshStreamKey(). */
+    std::unordered_map<std::string, CachedDraw> drawCache_;
+    /** Budget bytes drawCache_ holds. */
+    std::size_t drawCacheBytes_ = 0;
+    /** The arena (and mirror) the current round's GEMMs read: a cached
+     *  draw or the scratch arena. */
+    std::int32_t *roundWeights_ = nullptr;
+    std::int16_t *roundWeights16_ = nullptr;
     /** Per-op madd-path eligibility: operands fit int16 and
      *  inDim * max|w| * max|x| < 2^31 (see GemmArgs::weights16). */
     std::vector<bool> opInt16_;

@@ -10,6 +10,7 @@ WeightGenerator::WeightGenerator(const DatapathKernel &kernel,
     : kernel_(kernel), generator_(generator)
 {
     VIBNN_ASSERT(generator != nullptr, "weight generator needs a GRNG");
+    fetched_ = startPos(*generator);
     epsReal_.resize(epsBlock);
     epsRaw_.resize(epsBlock);
 
@@ -26,9 +27,40 @@ WeightGenerator::WeightGenerator(const DatapathKernel &kernel,
     sampleParams_.epsAbsMax = -kernel_.eps.rawMin();
 }
 
+std::uint64_t
+WeightGenerator::startPos(const grng::GaussianGenerator &gen)
+{
+    return gen.splittable() ? gen.streamPos() : 0;
+}
+
+void
+WeightGenerator::skipFresh(std::uint64_t n)
+{
+    VIBNN_ASSERT(epsPos_ == epsFill_, "skipFresh needs an empty eps ring");
+    fetched_ += n;
+    lag_ += n;
+    samplesDrawn_ += n;
+}
+
 void
 WeightGenerator::refill()
 {
+    if (lag_ > 0) {
+        // Step the generator past the skipped eps. The ring is empty
+        // here, so fetched_ is exactly where its next block starts.
+        if (generator_->splittable()) {
+            generator_->seekTo(fetched_);
+        } else {
+            for (std::uint64_t left = lag_; left > 0;) {
+                const auto take = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(left, epsBlock));
+                generator_->fill(epsReal_.data(), take);
+                left -= take;
+            }
+        }
+        lag_ = 0;
+    }
+
     // Fused generation + quantization when the generator has it (RLF
     // count LUT, Philox counter stream): the eps land on the grid in
     // one pass and the double staging block is never touched.
@@ -54,8 +86,9 @@ WeightGenerator::finishShardedRound(std::uint64_t end_pos)
     VIBNN_ASSERT(end_pos >= streamPos(),
                  "sharded round cannot end before it started");
     samplesDrawn_ += end_pos - streamPos();
-    generator_->seekTo(end_pos);
+    generator_->seekTo(end_pos); // also covers any skipped eps
     fetched_ = end_pos;
+    lag_ = 0;
     epsPos_ = 0;
     epsFill_ = 0; // ring contents predate the jump
 }
@@ -67,7 +100,8 @@ WeightGenerator::setGenerator(grng::GaussianGenerator *generator)
     generator_ = generator;
     epsPos_ = 0;
     epsFill_ = 0; // discard prefetched eps from the old stream
-    fetched_ = 0; // the new generator starts at stream position 0
+    lag_ = 0;
+    fetched_ = startPos(*generator);
 }
 
 } // namespace vibnn::accel

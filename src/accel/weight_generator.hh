@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/config.hh"
@@ -155,15 +156,40 @@ class WeightGenerator
     bool splittable() const { return generator_->splittable(); }
 
     /**
-     * Absolute stream position of the next eps the sequential path
-     * would consume (prefetched-but-unconsumed ring entries included).
-     * This is where a sharded round must start its offsets.
+     * Stream position of the next eps the sequential path would
+     * consume (prefetched-but-unconsumed ring entries included, skipped
+     * eps counted as consumed). For a splittable generator it is
+     * absolute — the count starts at the generator's own cursor — so
+     * this is where a sharded round must start its offsets.
      */
     std::uint64_t
     streamPos() const
     {
         return fetched_ - (epsFill_ - epsPos_);
     }
+
+    /**
+     * The generator's freshStreamKey() while this WeightGenerator has
+     * fetched nothing from it (and skipped nothing); "" otherwise. A
+     * non-empty key names every eps the next draws will read.
+     */
+    std::string
+    freshStreamKey() const
+    {
+        return fetched_ == 0 ? generator_->freshStreamKey()
+                             : std::string();
+    }
+
+    /**
+     * Book the next `n` eps as consumed without generating them: the
+     * caller already holds what they would produce (a cached weight
+     * arena). Needs an empty ring, which a fresh stream has. The
+     * generator catches up lazily, on the next refill — seekTo() past
+     * the skipped eps when splittable, generate-and-discard otherwise
+     * — so a later draw reads exactly the eps it would have read had
+     * the skipped ones been drawn.
+     */
+    void skipFresh(std::uint64_t n);
 
     /**
      * Complete a sharded round that consumed eps samples
@@ -190,16 +216,24 @@ class WeightGenerator
   private:
     /** Block-refill the ring: the generator's fused fillFixed() when it
      *  has one, else one GRNG fill() plus one batch float->fixed
-     *  conversion pass (bit-identical either way). */
+     *  conversion pass (bit-identical either way). Catches up on
+     *  skipped eps first. */
     void refill();
+
+    /** Where a new generator's stream count starts: its cursor when
+     *  splittable, else 0. */
+    static std::uint64_t startPos(const grng::GaussianGenerator &gen);
 
     DatapathKernel kernel_;
     grng::GaussianGenerator *generator_;
     /** Precomputed fused-sampling kernel parameters (from kernel_). */
     kernels::SampleParams sampleParams_;
     std::uint64_t samplesDrawn_ = 0;
-    /** Eps pulled from the generator so far (consumed + ring). */
+    /** Stream position past the last eps pulled from the generator or
+     *  skipped (consumed + ring + skipped). */
     std::uint64_t fetched_ = 0;
+    /** Skipped eps the generator has not stepped past yet. */
+    std::uint64_t lag_ = 0;
 
     /** Real-valued staging for the GRNG block fill. */
     std::vector<double> epsReal_;

@@ -108,6 +108,30 @@ class GaussianGenerator
         fatal(name() + " is not splittable (seekTo unsupported)");
     }
 
+    /** The sequential cursor: the offset of the next sample next() or
+     *  fill() would return (what seekTo() sets). Only meaningful when
+     *  splittable(). */
+    virtual std::uint64_t
+    streamPos() const
+    {
+        fatal(name() + " is not splittable (streamPos unsupported)");
+    }
+
+    /**
+     * Identity of a fresh stream. Non-empty only while this generator
+     * has drawn nothing since construction or reseed(); two generators
+     * with equal keys then produce bit-identical streams. A consumer
+     * may reuse what it derived from an earlier stream with the same
+     * key instead of drawing it again (the batched executor's
+     * weight-ensemble cache). The default "" means the stream is not
+     * identified and is always regenerated.
+     */
+    virtual std::string
+    freshStreamKey() const
+    {
+        return {};
+    }
+
     /**
      * Cheap in-place rekey: restart this generator as if freshly
      * constructed with `seed` (stream position 0). Returns false when

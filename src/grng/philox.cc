@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.hh"
+#include "common/table.hh"
 
 namespace vibnn::grng
 {
@@ -72,6 +73,15 @@ PhiloxGrng::reseed(std::uint64_t seed)
     pos_ = 0;
     cacheValid_ = false; // cached pair belongs to the old key
     return true;
+}
+
+std::string
+PhiloxGrng::freshStreamKey() const
+{
+    // The stream is a pure function of the key, so the key words name
+    // it; any position but 0 is no longer a fresh stream.
+    return pos_ == 0 ? strfmt("philox:%08x%08x", key0_, key1_)
+                     : std::string();
 }
 
 const double *

@@ -49,12 +49,13 @@ class PhiloxGrng : public GaussianGenerator
                      std::size_t n,
                      const fixed::FixedPointFormat &format) override;
     void seekTo(std::uint64_t offset) override { pos_ = offset; }
+    std::uint64_t streamPos() const override { return pos_; }
     bool reseed(std::uint64_t seed) override;
 
-    std::string name() const override { return "Philox"; }
+    /** The key words; fresh while the cursor is at 0. */
+    std::string freshStreamKey() const override;
 
-    /** Current sequential stream position (samples consumed). */
-    std::uint64_t streamPos() const { return pos_; }
+    std::string name() const override { return "Philox"; }
 
   private:
     /** Both Box-Muller phases of counter block `block`. */

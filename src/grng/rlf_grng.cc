@@ -315,4 +315,17 @@ RlfGrng::name() const
                   config_.outputMux ? "" : ",nomux");
 }
 
+std::string
+RlfGrng::freshStreamKey() const
+{
+    // cycle_ counts every cycle generated, buffered ones included.
+    if (cycle_ != 0)
+        return {};
+    return strfmt("rlf:%d:%d:%d:%d:%d:%llu", config_.length,
+                  config_.lanes, static_cast<int>(config_.mode),
+                  config_.outputMux ? 1 : 0,
+                  config_.balancedSeeds ? 1 : 0,
+                  static_cast<unsigned long long>(config_.seed));
+}
+
 } // namespace vibnn::grng

@@ -81,6 +81,10 @@ class RlfGrng : public GaussianGenerator
 
     std::string name() const override;
 
+    /** Every config field (the seed included): the stream is a pure
+     *  function of them. Fresh until the first cycle is generated. */
+    std::string freshStreamKey() const override;
+
     /** Next raw binomial count in [0, length]. */
     int nextCount();
 

@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/batched_runner.hh"
@@ -24,7 +27,9 @@
 #include "accel/simulator.hh"
 #include "bnn/bayesian_cnn.hh"
 #include "bnn/bayesian_mlp.hh"
+#include "common/fault.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "data/synth_mnist.hh"
 #include "grng/registry.hh"
 #include "nn/activations.hh"
@@ -82,6 +87,99 @@ randomBatch(std::size_t count, std::size_t dim, std::uint64_t seed)
         v = static_cast<float>(rng.uniform());
     return xs;
 }
+
+/** A registry generator behind a wrapper that counts the calls that
+ *  produce samples, so a test can see whether a round drew at all. */
+class CountingGenerator : public grng::GaussianGenerator
+{
+  public:
+    CountingGenerator(const std::string &id, std::uint64_t seed)
+        : inner_(grng::makeGenerator(id, seed))
+    {
+    }
+
+    double
+    next() override
+    {
+        ++draws;
+        return inner_->next();
+    }
+    void
+    fill(double *out, std::size_t n) override
+    {
+        ++draws;
+        inner_->fill(out, n);
+    }
+    using GaussianGenerator::fill;
+    bool
+    fillFixed(std::int32_t *out, std::size_t n,
+              const fixed::FixedPointFormat &format) override
+    {
+        ++draws;
+        return inner_->fillFixed(out, n, format);
+    }
+    bool splittable() const override { return inner_->splittable(); }
+    void
+    fillFixedAt(std::uint64_t offset, std::int32_t *out, std::size_t n,
+                const fixed::FixedPointFormat &format) override
+    {
+        ++draws; // sharded draws call this from pool workers
+        inner_->fillFixedAt(offset, out, n, format);
+    }
+    void seekTo(std::uint64_t offset) override { inner_->seekTo(offset); }
+    std::uint64_t streamPos() const override { return inner_->streamPos(); }
+    bool reseed(std::uint64_t seed) override { return inner_->reseed(seed); }
+    std::string
+    freshStreamKey() const override
+    {
+        return inner_->freshStreamKey();
+    }
+    std::string name() const override { return inner_->name(); }
+
+    std::atomic<std::size_t> draws{0};
+
+  private:
+    std::unique_ptr<grng::GaussianGenerator> inner_;
+};
+
+/** One round on `runner` off a fresh CountingGenerator(id, seed):
+ *  through runRoundBatchGather when `indices` is non-empty. Returns the
+ *  raw outputs; `draws` receives the generator's draw count. */
+std::vector<std::int64_t>
+freshRound(BatchedRunner &runner, const std::string &id,
+           std::uint64_t seed, const std::vector<float> &xs,
+           std::size_t count, const std::vector<std::uint32_t> &indices,
+           std::size_t *draws = nullptr)
+{
+    const std::size_t dim = runner.program().inputDim();
+    CountingGenerator gen(id, seed);
+    runner.setGenerator(&gen);
+    const std::size_t images = indices.empty() ? count : indices.size();
+    std::vector<std::int64_t> out(images * runner.program().outputDim());
+    if (indices.empty())
+        runner.runRoundBatch(xs.data(), count, dim, out.data());
+    else
+        runner.runRoundBatchGather(xs.data(), dim, indices.data(),
+                                   indices.size(), out.data());
+    if (draws)
+        *draws = gen.draws;
+    return out;
+}
+
+/** Arms a fault spec for one scope. */
+struct ScopedFaults
+{
+    explicit ScopedFaults(const std::string &spec)
+    {
+        std::string error;
+        armed = fault::armSpec(spec, error);
+        EXPECT_TRUE(armed) << error;
+    }
+    ~ScopedFaults() { fault::disarm(); }
+    ScopedFaults(const ScopedFaults &) = delete;
+    ScopedFaults &operator=(const ScopedFaults &) = delete;
+    bool armed = false;
+};
 
 } // anonymous namespace
 
@@ -281,6 +379,183 @@ TEST(BatchedRunner, RoundsAreDeterministicAndWeightReuseIsVisible)
         for (std::size_t j = 0; j < program.outputDim(); ++j)
             EXPECT_EQ(out[j], out[program.outputDim() + j]);
     }
+}
+
+TEST(WeightEnsembleCache, HitMatchesFreshRunnerAndDrawsNothing)
+{
+    // A round whose fresh stream the runner has seen reads its cached
+    // arena: bit-identical to a brand-new runner on the same stream,
+    // without a single generator fill — for RLF and Philox, serial and
+    // pooled (Philox then shards its miss), whole-batch and gather.
+    const auto config = smallConfig();
+    const auto program = mlpProgram(config, 151, /*rho_init=*/-2.0f);
+    const std::size_t count = 6;
+    const auto xs = randomBatch(count, program.inputDim(), 157);
+    ThreadPool workers(4);
+    for (const std::string id : {"rlf", "philox"}) {
+        for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr),
+                                 &workers}) {
+            for (const auto &indices :
+                 {std::vector<std::uint32_t>{},
+                  std::vector<std::uint32_t>{4, 0, 5, 2}}) {
+                const std::string where = id + (pool ? " pooled" : "") +
+                    (indices.empty() ? "" : " gather");
+                auto placeholder = grng::makeGenerator(id, 1);
+                BatchedRunner warm(program, config, placeholder.get());
+                warm.setWorkPool(pool);
+                std::size_t miss_draws = 0, hit_draws = 0;
+                const auto miss = freshRound(warm, id, 163, xs, count,
+                                             indices, &miss_draws);
+                const auto hit = freshRound(warm, id, 163, xs, count,
+                                            indices, &hit_draws);
+                warm.setGenerator(placeholder.get());
+
+                BatchedRunner cold(program, config, placeholder.get());
+                cold.setWorkPool(pool);
+                const auto want =
+                    freshRound(cold, id, 163, xs, count, indices);
+                cold.setGenerator(placeholder.get());
+
+                EXPECT_GT(miss_draws, 0u) << where;
+                EXPECT_EQ(hit_draws, 0u) << where;
+                EXPECT_EQ(miss, want) << where;
+                EXPECT_EQ(hit, want) << where;
+                // A hit still books the eps the round consumes.
+                EXPECT_EQ(warm.stats().grnSamples,
+                          2 * cold.stats().grnSamples)
+                    << where;
+            }
+        }
+    }
+}
+
+TEST(WeightEnsembleCache, RoundAfterHitReadsTheEpsAnUncachedRoundReads)
+{
+    // A hit books its eps without generating them; the next round on
+    // the same generator must still read exactly the eps it reads
+    // after an uncached first round — RLF catches up by drawing and
+    // discarding, Philox by seeking (serial and sharded).
+    const auto config = smallConfig();
+    const auto program = mlpProgram(config, 167, /*rho_init=*/-2.0f);
+    const std::size_t count = 5, dim = program.inputDim();
+    const std::size_t out_dim = program.outputDim();
+    const auto xs = randomBatch(count, dim, 173);
+    ThreadPool workers(4);
+
+    auto two_rounds = [&](BatchedRunner &runner, const std::string &id) {
+        CountingGenerator gen(id, 179);
+        runner.setGenerator(&gen);
+        std::vector<std::int64_t> out(2 * count * out_dim);
+        runner.runRoundBatch(xs.data(), count, dim, out.data());
+        runner.runRoundBatch(xs.data(), count, dim,
+                             out.data() + count * out_dim);
+        return out;
+    };
+
+    for (const std::string id : {"rlf", "philox"}) {
+        for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr),
+                                 &workers}) {
+            auto placeholder = grng::makeGenerator(id, 1);
+            BatchedRunner warm(program, config, placeholder.get());
+            warm.setWorkPool(pool);
+            freshRound(warm, id, 179, xs, count, {}); // fills the cache
+            const auto cached = two_rounds(warm, id);  // round 1 hits
+            warm.setGenerator(placeholder.get());
+
+            BatchedRunner cold(program, config, placeholder.get());
+            cold.setWorkPool(pool);
+            const auto want = two_rounds(cold, id);
+            cold.setGenerator(placeholder.get());
+            EXPECT_EQ(cached, want) << id << (pool ? " pooled" : "");
+        }
+    }
+}
+
+TEST(WeightEnsembleCache, BitFlipsCorruptACopyNotTheCachedDraw)
+{
+    // With accel.weights.bitflip armed, a miss caches the clean draw
+    // before flipping and a hit flips a copy: pass 2 equals pass 1
+    // equals a fresh runner, flips never accumulate, and once the site
+    // is disarmed a hit serves the clean arena again.
+    const auto config = smallConfig();
+    const auto program = mlpProgram(config, 181, /*rho_init=*/-2.0f);
+    const std::size_t count = 4;
+    const auto xs = randomBatch(count, program.inputDim(), 191);
+    auto placeholder = grng::makeGenerator("rlf", 1);
+
+    BatchedRunner clean_runner(program, config, placeholder.get());
+    const auto clean = freshRound(clean_runner, "rlf", 193, xs, count, {});
+    clean_runner.setGenerator(placeholder.get());
+
+    BatchedRunner warm(program, config, placeholder.get());
+    {
+        ScopedFaults faults("accel.weights.bitflip:p=0.02");
+        ASSERT_TRUE(faults.armed);
+        const auto pass1 = freshRound(warm, "rlf", 193, xs, count, {});
+        std::size_t hit_draws = 0;
+        const auto pass2 =
+            freshRound(warm, "rlf", 193, xs, count, {}, &hit_draws);
+        EXPECT_GT(fault::fires("accel.weights.bitflip"), 0u);
+        EXPECT_EQ(hit_draws, 0u);
+
+        BatchedRunner cold(program, config, placeholder.get());
+        const auto want = freshRound(cold, "rlf", 193, xs, count, {});
+        cold.setGenerator(placeholder.get());
+        EXPECT_EQ(pass1, want);
+        EXPECT_EQ(pass2, want);
+        EXPECT_NE(pass1, clean) << "flips at p=0.02 changed nothing";
+    }
+    EXPECT_EQ(freshRound(warm, "rlf", 193, xs, count, {}), clean);
+    warm.setGenerator(placeholder.get());
+}
+
+TEST(WeightEnsembleCache, BudgetBoundsCachedDraws)
+{
+    // Cached draws reserve their bytes from one process-wide budget:
+    // once it is full, a fresh stream regenerates on every round, and
+    // destroying a runner returns its share.
+    const auto config = smallConfig();
+    const auto program = mlpProgram(config, 197, /*rho_init=*/-2.0f);
+    const std::size_t count = 3;
+    const auto xs = randomBatch(count, program.inputDim(), 199);
+    auto placeholder = grng::makeGenerator("rlf", 1);
+    std::size_t weights = 0;
+    for (const auto &op : program.ops)
+        if (op.isCompute())
+            weights += op.bank.outDim * op.bank.inDim;
+
+    const std::size_t before = BatchedRunner::drawCacheBytes();
+    {
+        BatchedRunner runner(program, config, placeholder.get());
+        freshRound(runner, "rlf", 211, xs, count, {});
+        runner.setGenerator(placeholder.get());
+        const std::size_t entry = BatchedRunner::drawCacheBytes() - before;
+        // The int32 arena, plus the int16 mirror when any op has one.
+        EXPECT_GE(entry, weights * sizeof(std::int32_t));
+        EXPECT_LE(entry, weights * (sizeof(std::int32_t) +
+                                    sizeof(std::int16_t)));
+
+        // Hold back the rest of the budget: the next fresh stream
+        // cannot reserve its entry, so each of its rounds draws.
+        const std::size_t rest =
+            BatchedRunner::kDrawCacheBudget - BatchedRunner::drawCacheBytes();
+        ASSERT_TRUE(BatchedRunner::reserveDrawCache(rest));
+        EXPECT_FALSE(BatchedRunner::reserveDrawCache(1));
+        std::size_t draws1 = 0, draws2 = 0;
+        const auto first =
+            freshRound(runner, "rlf", 223, xs, count, {}, &draws1);
+        const auto second =
+            freshRound(runner, "rlf", 223, xs, count, {}, &draws2);
+        runner.setGenerator(placeholder.get());
+        EXPECT_GT(draws1, 0u);
+        EXPECT_GT(draws2, 0u);
+        EXPECT_EQ(first, second);
+        EXPECT_EQ(BatchedRunner::drawCacheBytes(),
+                  BatchedRunner::kDrawCacheBudget);
+        BatchedRunner::releaseDrawCache(rest);
+        EXPECT_EQ(BatchedRunner::drawCacheBytes(), before + entry);
+    }
+    EXPECT_EQ(BatchedRunner::drawCacheBytes(), before);
 }
 
 TEST(McEngineRound, MatchesSerialRoundSeedScheduleEmulation)

@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <set>
 #include <utility>
 
 #include "grng/baselines.hh"
@@ -508,7 +510,77 @@ TEST(Philox, StatefulGeneratorsRejectSplitApis)
     EXPECT_FALSE(rlf->splittable());
     EXPECT_FALSE(rlf->reseed(2));
     EXPECT_DEATH(rlf->seekTo(10), "not splittable");
+    EXPECT_DEATH((void)rlf->streamPos(), "not splittable");
     const fixed::FixedPointFormat fmt{8, 5};
     std::int32_t buf[4];
     EXPECT_DEATH(rlf->fillFixedAt(0, buf, 4, fmt), "not splittable");
+}
+
+TEST(FreshStreamKey, KeyedGeneratorsHonourTheContract)
+{
+    // A non-empty freshStreamKey() promises: equal keys, identical
+    // streams; and it is non-empty only until the first draw (or again
+    // after reseed()). RLF (every variant) and Philox carry keys; the
+    // other generators keep "" and are always regenerated.
+    const std::set<std::string> keyed = {"rlf", "rlf-64", "rlf-nomux",
+                                         "rlf-single", "philox"};
+    std::set<std::string> seen_keys;
+    for (const auto &id : generatorIds()) {
+        auto gen = makeGenerator(id, 2024);
+        const std::string key = gen->freshStreamKey();
+        EXPECT_EQ(!key.empty(), keyed.count(id) == 1) << id;
+        if (key.empty())
+            continue;
+        EXPECT_TRUE(seen_keys.insert(key).second)
+            << id << " shares its key with another generator";
+
+        // Same (id, seed): same key and the same first 10^4 samples.
+        auto twin = makeGenerator(id, 2024);
+        EXPECT_EQ(twin->freshStreamKey(), key) << id;
+        std::vector<double> a(10000), b(10000);
+        gen->fill(a.data(), a.size());
+        twin->fill(b.data(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                              a.size() * sizeof(double)),
+                  0)
+            << id;
+
+        // Another seed names another stream.
+        EXPECT_NE(makeGenerator(id, 2025)->freshStreamKey(), key) << id;
+
+        // One draw ends freshness; reseed() (where supported) restores
+        // the key of the seed it restarts from.
+        auto drawn = makeGenerator(id, 2024);
+        (void)drawn->next();
+        EXPECT_EQ(drawn->freshStreamKey(), "") << id;
+        if (drawn->reseed(2024)) {
+            EXPECT_EQ(drawn->freshStreamKey(), key) << id;
+        }
+    }
+    EXPECT_EQ(seen_keys.size(), keyed.size());
+}
+
+TEST(FreshStreamKey, EveryRlfConfigFieldIsPartOfTheKey)
+{
+    const RlfGrngConfig base;
+    const std::string base_key = RlfGrng(base).freshStreamKey();
+    ASSERT_FALSE(base_key.empty());
+    std::vector<RlfGrngConfig> variants(6, base);
+    variants[0].length = 128;
+    variants[1].lanes = 16;
+    variants[2].mode = RlfUpdateMode::Single;
+    variants[3].outputMux = false;
+    variants[4].balancedSeeds = false;
+    variants[5].seed = base.seed + 1;
+    std::set<std::string> keys = {base_key};
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        EXPECT_TRUE(keys.insert(RlfGrng(variants[i]).freshStreamKey())
+                        .second)
+            << "variant " << i;
+
+    // A partial cycle left in the buffer is a draw too.
+    RlfGrng partial(base);
+    double one = 0.0;
+    partial.fill(&one, 1);
+    EXPECT_EQ(partial.freshStreamKey(), "");
 }

@@ -727,6 +727,47 @@ TEST(BatchedRunnerSharded, PhiloxShardedDrawMatchesSerial)
     }
 }
 
+TEST(BatchedRunnerSharded, PhiloxShardedDrawMatchesSerialMidStream)
+{
+    // A generator handed over after it has drawn: the sharded draw
+    // must start at the generator's cursor, as the serial draw does,
+    // and leave the cursor past the round rather than rewinding it —
+    // whether the hand-over is the constructor or setGenerator().
+    const auto config = smallConfig();
+    Rng rng(8);
+    bnn::BayesianMlp net({24, 16, 4}, rng, /*rho_init=*/-2.0f);
+    const auto program = compile(net, config);
+    const std::size_t count = 9;
+    const std::size_t dim = program.inputDim();
+    const std::size_t out_dim = program.outputDim();
+    const auto xs = randomBatch(count, dim, 31);
+
+    auto run_rounds = [&](ThreadPool *pool, bool via_set_generator) {
+        auto gen = grng::makeGenerator("philox", 4242);
+        for (int i = 0; i < 1000; ++i)
+            gen->next();
+        auto placeholder = grng::makeGenerator("philox", 1);
+        BatchedRunner runner(program, config,
+                             via_set_generator ? placeholder.get()
+                                               : gen.get());
+        if (via_set_generator)
+            runner.setGenerator(gen.get());
+        runner.setWorkPool(pool);
+        std::vector<std::int64_t> out(2 * count * out_dim);
+        runner.runRoundBatch(xs.data(), count, dim, out.data());
+        runner.runRoundBatch(xs.data(), count, dim,
+                             out.data() + count * out_dim);
+        return out;
+    };
+
+    for (const bool via_set_generator : {false, true}) {
+        const auto serial = run_rounds(nullptr, via_set_generator);
+        ThreadPool pool(4);
+        EXPECT_EQ(run_rounds(&pool, via_set_generator), serial)
+            << "via_set_generator=" << via_set_generator;
+    }
+}
+
 namespace
 {
 
