@@ -23,8 +23,8 @@
  * images)).
  *
  * Env: VIBNN_SCALE scales work, VIBNN_SEED the data/model seeds,
- * VIBNN_BENCH_JSON emits machine-readable records (BENCH_PR10.json is
- * the committed baseline the CI chaos job gates against — `accuracy`
+ * VIBNN_BENCH_JSON emits machine-readable records (their gated rows
+ * in BENCH_BASELINE.json are checked by the CI bench gate — `accuracy`
  * and `success_rate` are higher-is-better).
  */
 

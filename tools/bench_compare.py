@@ -1,52 +1,44 @@
 #!/usr/bin/env python3
-"""Gate bench throughput against a checked-in baseline.
+"""Gate fresh bench records against the committed baseline.
 
-Both inputs are VIBNN_BENCH_JSON files (a JSON array of flat records,
-see bench/bench_util.hh). Records are matched on their identity fields
-(bench/section/backend/schedule/style/kernel/...) and every matched
-pair with a value for the gated metric (`images_per_s` by default;
---metric selects another, e.g. `rlf_eps_ms` for the GRNG eps-supply
-records) is compared: the run fails when a fresh value regresses more
-than --tolerance (default 10%) past its baseline. The gate is
-one-sided and directional: with --direction higher (the default,
-throughput metrics) regression means falling below the baseline
-floor; with --direction lower (latency metrics, e.g. the serving
-bench's p99_us) regression means rising above the baseline ceiling —
-better-than-baseline is always fine either way.
-Note that the kernel tier is part of the identity, so a scalar-forced
-run never gets judged against an avx2 baseline — it is simply reported
-as unmatched.
+    python3 tools/bench_compare.py BASELINE FRESH [FRESH ...]
 
-Typical use (the CI kernel-matrix job, gating just the batched-path
-rows the PR 5 acceptance tracks):
+BASELINE (the committed BENCH_BASELINE.json) is a JSON array of flat
+records. A record with a "gate" field
+is gated: the field maps each gated metric to its direction and
+tolerance,
 
-    VIBNN_BENCH_JSON=fresh.json ./build/bench_table5_throughput
-    python3 tools/bench_compare.py BENCH_PR5.json fresh.json \
-        --only backend=batched --only style=submit-coalesced
+    "gate": {"images_per_s": {"better": "higher", "tolerance": 0.35}}
 
---section restricts by section; --only key=value (repeatable) keeps
-records matching ANY given pair; a baseline record with no fresh
-counterpart is an error under --require-all (a silently skipped
-benchmark would otherwise look like a pass).
+and that metric regresses when its fresh value falls below
+baseline * (1 - tolerance) (higher is better) or rises above
+baseline * (1 + tolerance) (lower is better). Records without a gate
+are the trajectory record; the gate ignores them.
+
+Each FRESH file is either a VIBNN_BENCH_JSON array (bench/bench_util.hh)
+or a bench_e2e --json result object, read as the one record
+{"bench": "bench_e2e", "section": <workload>, <its metrics>}. A traced
+bench_e2e result carries per-layer metrics only, so it cannot satisfy
+an end-to-end row. bench_e2e records no smoke flag; the committed
+bench_e2e row was measured with `--smoke --seed 1`, as CI runs it.
+
+Records match on their identity fields (bench, section, backend,
+kernel, T, ...). The kernel tier is part of the identity, so a run on
+another tier is reported as unmatched, never judged against an avx2
+row. The gate fails when a gated value regresses, when a bench_e2e
+result says "correct": false (its own guards rejected the run), or
+when a bench named by a gated row has no compared row at all. A gated
+row with no fresh counterpart is reported as unmatched; that alone
+does not fail the gate.
 """
 
-import argparse
 import json
 import sys
 
 IDENTITY_KEYS = ("bench", "section", "backend", "schedule", "style",
                  "kernel", "tier", "generator", "estimator", "bits", "T",
-                 "batch", "requests", "confidence", "budget", "shards",
-                 "offered", "conns", "rate", "profile")
-DEFAULT_METRIC = "images_per_s"
-
-
-def load(path):
-    with open(path, encoding="utf-8") as handle:
-        records = json.load(handle)
-    if not isinstance(records, list):
-        raise SystemExit(f"{path}: expected a JSON array of records")
-    return records
+                 "batch", "requests", "confidence", "budget", "conns",
+                 "rate", "profile")
 
 
 def identity(record):
@@ -54,116 +46,82 @@ def identity(record):
                  if key in record)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="checked-in baseline JSON")
-    parser.add_argument("fresh", help="freshly measured JSON")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="allowed fractional regression "
-                             "(default 0.10 = 10%%)")
-    parser.add_argument("--section", nargs="*", default=None,
-                        help="only compare records in these sections")
-    parser.add_argument("--only", action="append", default=None,
-                        metavar="KEY=VALUE",
-                        help="keep records matching any given key=value "
-                             "pair (repeatable)")
-    parser.add_argument("--require-all", action="store_true",
-                        help="fail if a comparable baseline record has "
-                             "no fresh counterpart")
-    parser.add_argument("--allow-unmatched", action="store_true",
-                        help="exit 0 when nothing matched at all "
-                             "(e.g. the fresh run used a different "
-                             "kernel tier than the baseline)")
-    parser.add_argument("--metric", default=DEFAULT_METRIC,
-                        help="record field to gate on (default "
-                             f"{DEFAULT_METRIC}); records lacking the "
-                             "field are ignored")
-    parser.add_argument("--direction", choices=("higher", "lower"),
-                        default="higher",
-                        help="gating direction: 'higher' (throughput "
-                             "metrics, the default) fails when fresh "
-                             "drops below baseline*(1-tol); 'lower' "
-                             "(latency metrics like p99_us) fails when "
-                             "fresh rises above baseline*(1+tol)")
-    parser.add_argument("--unit", default=None,
-                        help="unit label for the report lines "
-                             "(default derives from --metric)")
-    args = parser.parse_args()
-    metric = args.metric
-    unit = args.unit if args.unit is not None else (
-        "img/s" if metric == DEFAULT_METRIC else metric)
+def load(path, failures):
+    """The records of one file; a rejected bench_e2e run adds to
+    failures."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if isinstance(data, list):
+        return data
+    if isinstance(data, dict) and isinstance(data.get("metrics"), dict):
+        if data.get("correct") is not True:
+            failures.append(f"{path}: bench_e2e {data.get('workload')} "
+                            "was not correct")
+        return [{"bench": "bench_e2e", "section": data.get("workload"),
+                 **data["metrics"]}]
+    raise SystemExit(f"{path}: expected a VIBNN_BENCH_JSON array or a "
+                     "bench_e2e result object")
 
-    only = None
-    if args.only:
-        only = []
-        for pair in args.only:
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise SystemExit(f"--only expects key=value, got {pair!r}")
-            only.append((key, value))
 
-    baseline = {identity(r): r for r in load(args.baseline)
-                if metric in r}
-    fresh = {identity(r): r for r in load(args.fresh) if metric in r}
-
-    compared = 0
+def main(argv):
+    if len(argv) < 2 or any(arg.startswith("-") for arg in argv):
+        print("usage:" + __doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
     failures = []
-    missing = []
-    for key, base in sorted(baseline.items()):
-        if args.section is not None and base.get("section") not in \
-                args.section:
+    baseline = load(argv[0], failures)
+    fresh = {}
+    for path in argv[1:]:
+        for record in load(path, failures):
+            key = identity(record)
+            for field, value in record.items():
+                fresh.setdefault((key, field), value)
+
+    gated = set()
+    compared = set()
+    for row in baseline:
+        if "gate" not in row:
             continue
-        if only is not None and not any(
-                str(base.get(k)) == v for k, v in only):
-            continue
-        other = fresh.get(key)
+        key = identity(row)
         label = " ".join(f"{k}={v}" for k, v in key)
-        if other is None:
-            missing.append(label)
-            continue
-        compared += 1
-        base_v = float(base[metric])
-        fresh_v = float(other[metric])
-        if args.direction == "higher":
-            floor = base_v * (1.0 - args.tolerance)
-            regressed = fresh_v < floor
-            bound_note = f"floor {floor:.1f}"
-        else:
-            # Lower-is-better (latency): regression means RISING past
-            # the baseline plus headroom.
-            ceiling = base_v * (1.0 + args.tolerance)
-            regressed = fresh_v > ceiling
-            bound_note = f"ceiling {ceiling:.1f}"
-        verdict = "REGRESSION" if regressed else "ok"
-        print(f"{verdict:10s} {label}: baseline {base_v:.1f} -> "
-              f"fresh {fresh_v:.1f} {unit} ({bound_note})")
-        if regressed:
-            failures.append(label)
+        gated.add(row["bench"])
+        for metric, rule in row["gate"].items():
+            value = fresh.get((key, metric))
+            if value is None:
+                print(f"unmatched  {label} {metric}: no fresh value")
+                continue
+            compared.add(row["bench"])
+            base = float(row[metric])
+            value = float(value)
+            tolerance = float(rule["tolerance"])
+            if rule["better"] == "higher":
+                bound = base * (1.0 - tolerance)
+                regressed = value < bound
+                note = "floor"
+            elif rule["better"] == "lower":
+                bound = base * (1.0 + tolerance)
+                regressed = value > bound
+                note = "ceiling"
+            else:
+                raise SystemExit(f"{label}: 'better' must be higher or "
+                                 f"lower, got {rule['better']!r}")
+            verdict = "REGRESSION" if regressed else "ok"
+            print(f"{verdict:10s} {label}: baseline {base:.6g} -> fresh "
+                  f"{value:.6g} {metric} ({note} {bound:.6g}, "
+                  f"tolerance {tolerance:g})")
+            if regressed:
+                failures.append(f"{label} {metric}")
 
-    if missing:
-        print(f"\n{len(missing)} baseline record(s) had no fresh "
-              "counterpart:")
-        for label in missing:
-            print(f"  missing: {label}")
-        if args.require_all:
-            return 1
-
-    if compared == 0:
-        if args.allow_unmatched:
-            print("warning: no comparable records (different kernel "
-                  "tier / host?) — skipping the gate")
-            return 0
-        print("error: no comparable records (identity fields or "
-              f"'{metric}' missing?)")
-        return 1
+    for bench in sorted(gated - compared):
+        failures.append(f"bench {bench}: no gated row was compared")
     if failures:
-        print(f"\nFAIL: {len(failures)} of {compared} compared records "
-              f"regressed more than {args.tolerance:.0%}")
+        print(f"\nFAIL: {len(failures)} failure(s):")
+        for failure in failures:
+            print(f"  {failure}")
         return 1
-    print(f"\nOK: {compared} records within {args.tolerance:.0%} of "
-          "baseline")
+    print(f"\nOK: every compared value of {len(compared)} bench(es) is "
+          "within its tolerance")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
