@@ -161,8 +161,8 @@ main()
 
     // Bit-exactness of the two executors on this program.
     {
-        auto sim = sys.makeSimulator();
-        auto fun = sys.makeFunctionalRunner();
+        auto sim = sys.makeExecutor("simulator");
+        auto fun = sys.makeExecutor("functional");
         bool exact = true;
         for (int i = 0; i < 3; ++i) {
             exact = exact &&

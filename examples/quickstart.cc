@@ -78,7 +78,7 @@ main()
                 response.mcSamples, uncertain, worst_entropy);
 
     // 4c. Cycle-level timing of one inference pass.
-    auto simulator = system.makeSimulator();
+    auto simulator = system.makeExecutor("simulator");
     simulator->runPass(dataset.test.sample(0));
     std::printf("cycle-level simulator: %llu cycles per pass, "
                 "PE utilization %.1f%%\n",

@@ -54,19 +54,19 @@
  *
  * Weight-ensemble cache: a round's arena is a pure function of the
  * program and the eps stream it reads. When a round starts on a fresh
- * stream — a generator that has drawn nothing since construction or
- * reseed(), named by GaussianGenerator::freshStreamKey() — the runner
- * keeps the clean arena (int32 plus the int16 mirror) under that key.
- * A later round on an equal-keyed stream skips the GRNG and the weight
+ * stream — a generator that has drawn nothing since construction,
+ * named by GaussianGenerator::freshStreamKey() — the runner keeps the
+ * clean arena (int32 plus the int16 mirror) under that key. A later
+ * round on an equal-keyed stream skips the GRNG and the weight
  * sampling: it books the round's eps as consumed (skipFresh) and runs
- * its GEMMs straight on the cached arena. Sessions serve every request
- * from one seed, so McEngine's round r reads the identical stream
- * (roundSeed(seedBase, r)) on every pass, and a warm pass is only
- * GEMMs. Results are bit-identical by construction. Entries live as
- * long as the runner; all runners of the process share one budget of
- * kDrawCacheBudget bytes, and a round that cannot reserve its entry
- * regenerates as before. Generators without a key (BNNWallace, the
- * baselines) always regenerate.
+ * its GEMMs straight on the cached arena. A session serves every
+ * request from one seed on one McEngine, so round r reads the
+ * identical stream (roundSeed(seedBase, r)) on every pass, whatever
+ * its T, and a warm pass is only GEMMs. Results are bit-identical by
+ * construction. Entries live as long as the runner; all runners of
+ * the process share one budget of kDrawCacheBudget bytes, and a round
+ * that cannot reserve its entry regenerates as before. Generators
+ * without a key (BNNWallace, the baselines) always regenerate.
  */
 
 #ifndef VIBNN_ACCEL_BATCHED_RUNNER_HH

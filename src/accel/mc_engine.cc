@@ -19,16 +19,22 @@ McEngine::McEngine(const QuantizedProgram &program,
     validateProgram(program_, config_);
     VIBNN_ASSERT(config_.mcSamples >= 1, "need at least one MC sample");
 
-    if (mc_.threads == 0) {
-        executors_ = ThreadPool::global().workerCount() + 1;
-    } else {
-        executors_ = mc_.threads;
-        if (mc_.threads > 1)
-            ownPool_ = std::make_unique<ThreadPool>(mc_.threads - 1);
-    }
+    // threads == 0 borrows the global pool, first touched by a
+    // fan-out: constructing such an engine (every session builds one)
+    // starts no thread, so a process forked after it — a death test —
+    // does not hang in fatal()'s exit-time pool teardown.
+    if (mc_.threads > 1)
+        ownPool_ = std::make_unique<ThreadPool>(mc_.threads - 1);
 }
 
 McEngine::~McEngine() = default;
+
+std::size_t
+McEngine::executorCount() const
+{
+    return mc_.threads == 0 ? ThreadPool::global().workerCount() + 1
+                            : mc_.threads;
+}
 
 std::uint64_t
 McEngine::streamSeed(std::uint64_t seed_base, std::uint64_t image,
@@ -60,11 +66,11 @@ McEngine::ensureReplicas(std::size_t n)
     while (replicas_.size() < n) {
         Replica replica;
         // Placeholder stream; every unit swaps in its own before use.
-        replica.idleGenerator =
+        replica.generator =
             grng::makeGenerator(mc_.generatorId, mc_.seedBase);
         replica.executor =
             makeExecutor(mc_.backendId, program_, config_,
-                         replica.idleGenerator.get());
+                         replica.generator.get());
         replicas_.push_back(std::move(replica));
     }
 }
@@ -77,7 +83,7 @@ McEngine::fanOut(std::size_t units, const SeedOf &seed_of,
     if (units == 0)
         return;
     const std::size_t replica_count =
-        std::max<std::size_t>(1, std::min(executors_, units));
+        std::max<std::size_t>(1, std::min(executorCount(), units));
     ensureReplicas(replica_count);
 
     // Oversubscription guard: when unit-level scheduling fans the
@@ -99,22 +105,14 @@ McEngine::fanOut(std::size_t units, const SeedOf &seed_of,
         Replica &replica = replicas_[r];
         Executor &executor = *replica.executor;
         for (std::size_t u = r; u < units; u += replica_count) {
-            const std::uint64_t seed = seed_of(u);
-            // Counter-based generators rekey in place (two register
-            // writes): the per-unit stream switch then skips the heap
-            // construction. The setGenerator call still runs to reset
-            // the executor's eps ring.
-            if (replica.idleGenerator->reseed(seed)) {
-                executor.setGenerator(replica.idleGenerator.get());
-                body(executor, u);
-                continue;
-            }
-            auto generator = grng::makeGenerator(mc_.generatorId, seed);
+            // The one stream switch: a generator constructed on the
+            // unit's seed. The replica keeps it until its next unit,
+            // so the executor never reads a freed stream.
+            auto generator =
+                grng::makeGenerator(mc_.generatorId, seed_of(u));
             executor.setGenerator(generator.get());
+            replica.generator = std::move(generator);
             body(executor, u);
-            // Leave the replica pointing at its own long-lived stream
-            // before the unit's generator goes out of scope.
-            executor.setGenerator(replica.idleGenerator.get());
         }
     };
 

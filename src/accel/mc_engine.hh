@@ -211,7 +211,7 @@ class McEngine
     std::size_t replicaCount() const { return replicas_.size(); }
 
     /** Executor parallelism the engine schedules for. */
-    std::size_t executorCount() const { return executors_; }
+    std::size_t executorCount() const;
 
     const AcceleratorConfig &config() const { return config_; }
     const QuantizedProgram &program() const { return program_; }
@@ -234,7 +234,9 @@ class McEngine
   private:
     struct Replica
     {
-        std::unique_ptr<grng::GaussianGenerator> idleGenerator;
+        /** The eps stream the executor reads: the current (or last)
+         *  unit's generator, replaced by fanOut at every unit. */
+        std::unique_ptr<grng::GaussianGenerator> generator;
         std::unique_ptr<Executor> executor;
     };
 
@@ -271,7 +273,6 @@ class McEngine
     QuantizedProgram program_;
     AcceleratorConfig config_;
     McEngineConfig mc_;
-    std::size_t executors_;
     /** Private pool when an explicit thread count was requested. */
     std::unique_ptr<ThreadPool> ownPool_;
     std::vector<Replica> replicas_;

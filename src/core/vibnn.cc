@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "accel/functional.hh"
+#include "accel/simulator.hh"
 #include "common/logging.hh"
 
 namespace vibnn::core
@@ -161,44 +163,6 @@ VibnnSystem::simulateTiming(const nn::DataView &data,
     for (std::size_t i = 0; i < images; ++i)
         sim.runPass(data.sample(i % data.count));
     return sim.stats();
-}
-
-std::unique_ptr<accel::Simulator>
-VibnnSystem::makeSimulator() const
-{
-    auto generator = grng::makeGenerator(grngId_, seed_);
-    // The simulator does not own the generator; keep it alive by
-    // binding its lifetime to the returned object via a deleter pair.
-    auto *gen_raw = generator.release();
-    struct OwningSimulator : accel::Simulator
-    {
-        OwningSimulator(const accel::QuantizedProgram &p,
-                        const accel::AcceleratorConfig &c,
-                        grng::GaussianGenerator *g)
-            : accel::Simulator(p, c, g), owned(g)
-        {
-        }
-        std::unique_ptr<grng::GaussianGenerator> owned;
-    };
-    return std::make_unique<OwningSimulator>(program_, config_, gen_raw);
-}
-
-std::unique_ptr<accel::FunctionalRunner>
-VibnnSystem::makeFunctionalRunner() const
-{
-    auto generator = grng::makeGenerator(grngId_, seed_);
-    auto *gen_raw = generator.release();
-    struct OwningRunner : accel::FunctionalRunner
-    {
-        OwningRunner(const accel::QuantizedProgram &p,
-                     const accel::AcceleratorConfig &c,
-                     grng::GaussianGenerator *g)
-            : accel::FunctionalRunner(p, c, g), owned(g)
-        {
-        }
-        std::unique_ptr<grng::GaussianGenerator> owned;
-    };
-    return std::make_unique<OwningRunner>(program_, config_, gen_raw);
 }
 
 std::unique_ptr<accel::Executor>

@@ -24,10 +24,8 @@
 #include <memory>
 #include <string>
 
-#include "accel/functional.hh"
 #include "accel/mc_engine.hh"
 #include "accel/program.hh"
-#include "accel/simulator.hh"
 #include "bnn/bayesian_cnn.hh"
 #include "bnn/bnn_trainer.hh"
 #include "data/dataset.hh"
@@ -139,12 +137,6 @@ class VibnnSystem
      */
     accel::CycleStats simulateTiming(const nn::DataView &data,
                                      std::size_t images) const;
-
-    /** Fresh cycle-level simulator (caller drives it directly). */
-    std::unique_ptr<accel::Simulator> makeSimulator() const;
-
-    /** Fresh functional runner. */
-    std::unique_ptr<accel::FunctionalRunner> makeFunctionalRunner() const;
 
     /** FPGA resource/power estimate for this configuration. */
     hw::DesignEstimate resourceEstimate() const;

@@ -119,7 +119,7 @@ class GaussianGenerator
 
     /**
      * Identity of a fresh stream. Non-empty only while this generator
-     * has drawn nothing since construction or reseed(); two generators
+     * has drawn nothing since construction; two generators
      * with equal keys then produce bit-identical streams. A consumer
      * may reuse what it derived from an earlier stream with the same
      * key instead of drawing it again (the batched executor's
@@ -130,20 +130,6 @@ class GaussianGenerator
     freshStreamKey() const
     {
         return {};
-    }
-
-    /**
-     * Cheap in-place rekey: restart this generator as if freshly
-     * constructed with `seed` (stream position 0). Returns false when
-     * re-seeding is as expensive as construction (the caller then
-     * builds a new instance); counter-based generators override this so
-     * per-round stream switches cost two register writes instead of a
-     * heap allocation.
-     */
-    virtual bool
-    reseed(std::uint64_t)
-    {
-        return false;
     }
 
     /** Short identifier used in bench tables. */

@@ -59,20 +59,11 @@ toUnit(std::uint64_t x)
 
 PhiloxGrng::PhiloxGrng(std::uint64_t seed)
 {
-    reseed(seed);
-}
-
-bool
-PhiloxGrng::reseed(std::uint64_t seed)
-{
     // One splitmix64 step decorrelates adjacent seeds (round seeds are
     // derived arithmetically upstream).
     const std::uint64_t key = splitmix64Next(seed);
     key0_ = static_cast<std::uint32_t>(key);
     key1_ = static_cast<std::uint32_t>(key >> 32);
-    pos_ = 0;
-    cacheValid_ = false; // cached pair belongs to the old key
-    return true;
 }
 
 std::string

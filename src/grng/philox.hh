@@ -11,8 +11,8 @@
  * generator removes the constraint: sample i is a pure function of
  * (seed, i), so any worker can produce any subrange of any round's
  * stream (splittable per (op, round, offset) once the caller maps those
- * coordinates onto stream offsets), and rekeying for a new round is two
- * register writes instead of a reconstruction.
+ * coordinates onto stream offsets), and a new round's stream is only a
+ * new key: construction is one splitmix64 step and no state walk.
  *
  * The counter transform is Philox-4x32-10 (Salmon et al., SC'11): ten
  * rounds of 32x32->64 multiplies and XORs over a 128-bit counter under
@@ -50,7 +50,6 @@ class PhiloxGrng : public GaussianGenerator
                      const fixed::FixedPointFormat &format) override;
     void seekTo(std::uint64_t offset) override { pos_ = offset; }
     std::uint64_t streamPos() const override { return pos_; }
-    bool reseed(std::uint64_t seed) override;
 
     /** The key words; fresh while the cursor is at 0. */
     std::string freshStreamKey() const override;
@@ -81,9 +80,8 @@ class PhiloxGrng : public GaussianGenerator
     std::uint32_t key1_;
     std::uint64_t pos_ = 0;
 
-    /** One-block Box-Muller pair cache (invalid until the first use;
-     *  rekeying invalidates — the same block index means different
-     *  values under a new key). */
+    /** One-block Box-Muller pair cache (invalid until the first
+     *  use). */
     mutable bool cacheValid_ = false;
     mutable std::uint64_t cachedBlock_ = 0;
     mutable double cachedPair_[2] = {0.0, 0.0};

@@ -1,9 +1,11 @@
 #include "serve/session.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -65,9 +67,9 @@ namespace
 
 /**
  * Strict integer env parsing for the serving knobs: a set-but-garbled
- * value (stray suffix, hex, plain text) must fail loudly — a seed or
- * thread count silently falling back to a default turns into phantom
- * nondeterminism downstream.
+ * value (stray suffix, hex, plain text, out of range) must fail
+ * loudly — a seed or thread count silently falling back to a default,
+ * or wrapping, turns into phantom nondeterminism downstream.
  */
 std::int64_t
 serveEnvInt(const char *name, std::int64_t fallback)
@@ -76,11 +78,42 @@ serveEnvInt(const char *name, std::int64_t fallback)
     if (raw.empty())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     const long long value = std::strtoll(raw.c_str(), &end, 10);
     if (end == raw.c_str() || *end != '\0')
         fatal(std::string(name) + " must be a base-10 integer, got '" +
               raw + "'");
+    if (errno == ERANGE)
+        fatal(std::string(name) + " is out of range, got '" + raw +
+              "'");
     return value;
+}
+
+/** serveEnvInt for a knob held in an int: a value outside int's range
+ *  is fatal, not wrapped by the narrowing cast. */
+int
+serveEnvIntKnob(const char *name, int fallback)
+{
+    const std::int64_t value = serveEnvInt(name, fallback);
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max())
+        fatal(std::string(name) + " must fit in an int, got " +
+              std::to_string(value));
+    return static_cast<int>(value);
+}
+
+/** serveEnvInt for a count knob: a negative value is fatal, not
+ *  wrapped to a huge size_t by the cast. */
+std::size_t
+serveEnvCount(const char *name, std::size_t fallback)
+{
+    if (envString(name, "").empty())
+        return fallback;
+    const std::int64_t value = serveEnvInt(name, 0);
+    if (value < 0)
+        fatal(std::string(name) + " must be >= 0, got " +
+              std::to_string(value));
+    return static_cast<std::size_t>(value);
 }
 
 /** The same strictness for the real-valued adaptive knobs. */
@@ -115,30 +148,22 @@ SessionOptions::fromEnv(SessionOptions defaults)
     opts.mode = parseExecMode(mode);
     opts.backendId = envString("VIBNN_SERVE_BACKEND", opts.backendId);
     opts.grngId = envString("VIBNN_SERVE_GRNG", opts.grngId);
-    opts.mcSamples =
-        static_cast<int>(serveEnvInt("VIBNN_SERVE_T", opts.mcSamples));
-    const std::int64_t threads = serveEnvInt(
-        "VIBNN_SERVE_THREADS", static_cast<std::int64_t>(opts.threads));
-    if (threads < 0)
-        fatal("VIBNN_SERVE_THREADS must be >= 0, got " +
-              std::to_string(threads));
-    opts.threads = static_cast<std::size_t>(threads);
+    opts.mcSamples = serveEnvIntKnob("VIBNN_SERVE_T", opts.mcSamples);
+    opts.threads = serveEnvCount("VIBNN_SERVE_THREADS", opts.threads);
     if (!envString("VIBNN_SERVE_SEED", "").empty()) {
         opts.seed = static_cast<std::uint64_t>(
             serveEnvInt("VIBNN_SERVE_SEED", 1));
     }
-    opts.topK = static_cast<std::size_t>(
-        serveEnvInt("VIBNN_SERVE_TOPK",
-                    static_cast<std::int64_t>(opts.topK)));
+    opts.topK = serveEnvCount("VIBNN_SERVE_TOPK", opts.topK);
     opts.adaptive.enabled =
         serveEnvInt("VIBNN_SERVE_ADAPTIVE",
                     opts.adaptive.enabled ? 1 : 0) != 0;
     opts.adaptive.confidence = serveEnvFloat("VIBNN_SERVE_CONFIDENCE",
                                              opts.adaptive.confidence);
-    opts.adaptive.minSamples = static_cast<int>(
-        serveEnvInt("VIBNN_SERVE_MIN_T", opts.adaptive.minSamples));
-    opts.adaptive.chunk = static_cast<int>(
-        serveEnvInt("VIBNN_SERVE_CHUNK", opts.adaptive.chunk));
+    opts.adaptive.minSamples =
+        serveEnvIntKnob("VIBNN_SERVE_MIN_T", opts.adaptive.minSamples);
+    opts.adaptive.chunk =
+        serveEnvIntKnob("VIBNN_SERVE_CHUNK", opts.adaptive.chunk);
     opts.adaptive.deadlineSeconds =
         serveEnvFloat("VIBNN_SERVE_DEADLINE_MS",
                       opts.adaptive.deadlineSeconds * 1e3) /
@@ -151,13 +176,8 @@ SessionOptions::fromEnv(SessionOptions defaults)
               std::to_string(kMaxDeadlineMicros) + "], got " +
               std::to_string(deadline_us));
     opts.defaultDeadlineMicros = deadline_us;
-    const std::int64_t max_batch =
-        serveEnvInt("VIBNN_SERVE_MAX_BATCH",
-                    static_cast<std::int64_t>(opts.maxBatchImages));
-    if (max_batch < 0)
-        fatal("VIBNN_SERVE_MAX_BATCH must be >= 0, got " +
-              std::to_string(max_batch));
-    opts.maxBatchImages = static_cast<std::size_t>(max_batch);
+    opts.maxBatchImages =
+        serveEnvCount("VIBNN_SERVE_MAX_BATCH", opts.maxBatchImages);
     return opts;
 }
 
@@ -491,9 +511,11 @@ InferenceSession::Builder::build()
               "must be <= " +
               std::to_string(kMaxEnsembleSize) + ", got " +
               std::to_string(t));
-    // Resolved: options() reports the T the session actually serves
-    // with (per-request overrides still apply on top).
+    // Resolved: options() and acceleratorConfig() report the T the
+    // session actually serves with (per-request overrides still apply
+    // on top).
     opts.mcSamples = t;
+    s.config.mcSamples = t;
     // A nonsense thread count (e.g. a negative value cast through
     // size_t) would otherwise surface as an allocation failure deep in
     // the engine.
@@ -570,11 +592,34 @@ InferenceSession::Builder::build()
     accel::validateProgram(*s.program, s.config);
 
     opts.topK = std::min(opts.topK, s.program->outputDim());
-    return std::unique_ptr<InferenceSession>(new InferenceSession(
-        std::move(*s.program), s.config, opts));
+    return std::unique_ptr<InferenceSession>(
+        new InferenceSession(*s.program, s.config, opts));
 }
 
 // ---- session proper
+
+namespace
+{
+
+/** The engine policy of a session with resolved options. */
+accel::McEngineConfig
+engineConfig(const SessionOptions &opts, accel::McSchedule schedule)
+{
+    // build() resolves every inherit/derive default before handing the
+    // options over.
+    VIBNN_ASSERT(!opts.backendId.empty() && !opts.grngId.empty() &&
+                     opts.seed.has_value(),
+                 "InferenceSession constructed with unresolved options");
+    accel::McEngineConfig mc;
+    mc.threads = opts.threads;
+    mc.generatorId = opts.grngId;
+    mc.seedBase = *opts.seed;
+    mc.backendId = opts.backendId;
+    mc.schedule = schedule;
+    return mc;
+}
+
+} // namespace
 
 const char *
 InferenceSession::kernelName()
@@ -582,22 +627,17 @@ InferenceSession::kernelName()
     return accel::kernels::activeKernelName();
 }
 
-InferenceSession::InferenceSession(accel::QuantizedProgram program,
+InferenceSession::InferenceSession(const accel::QuantizedProgram &program,
                                    const accel::AcceleratorConfig &config,
                                    const SessionOptions &opts)
-    : program_(std::move(program)), config_(config), opts_(opts),
-      backendId_(opts.backendId),
+    : opts_(opts), backendId_(opts.backendId),
       schedule_(opts.mode == ExecMode::Throughput
                     ? accel::McSchedule::PerRound
                     : accel::McSchedule::PerUnit),
       coalesce_(schedule_ == accel::McSchedule::PerRound &&
-                accel::executorCaps(opts.backendId).batchedRounds)
+                accel::executorCaps(opts.backendId).batchedRounds),
+      engine_(program, config, engineConfig(opts, schedule_))
 {
-    // build() resolves every inherit/derive default before handing the
-    // options over.
-    VIBNN_ASSERT(!opts_.backendId.empty() && !opts_.grngId.empty() &&
-                     opts_.seed.has_value(),
-                 "InferenceSession constructed with unresolved options");
 }
 
 InferenceSession::~InferenceSession()
@@ -615,11 +655,7 @@ InferenceSession::~InferenceSession()
 int
 InferenceSession::effectiveSamples(const InferenceRequest &request) const
 {
-    if (request.mcSamples > 0)
-        return request.mcSamples;
-    if (opts_.mcSamples > 0)
-        return opts_.mcSamples;
-    return config_.mcSamples;
+    return request.mcSamples > 0 ? request.mcSamples : opts_.mcSamples;
 }
 
 std::int64_t
@@ -652,11 +688,11 @@ InferenceSession::validateRequest(const InferenceRequest &request) const
 {
     if (request.count == 0)
         fatal("InferenceSession: request holds no images");
-    if (request.dim != program_.inputDim())
+    if (request.dim != inputDim())
         fatal("InferenceSession: request dim " +
               std::to_string(request.dim) +
               " does not match the program input dim " +
-              std::to_string(program_.inputDim()));
+              std::to_string(inputDim()));
     if (!request.data())
         fatal("InferenceSession: request carries no feature data");
     if (request.mcSamples < 0)
@@ -676,43 +712,6 @@ InferenceSession::validateRequest(const InferenceRequest &request) const
               std::to_string(request.deadlineMicros));
 }
 
-accel::McEngine &
-InferenceSession::engineFor(int t)
-{
-    auto it = engines_.find(t);
-    if (it != engines_.end()) {
-        // Refresh t's LRU position.
-        engineLru_.erase(
-            std::find(engineLru_.begin(), engineLru_.end(), t));
-        engineLru_.push_back(t);
-        return *it->second;
-    }
-    // Per-request T is caller controlled; bound the cache by retiring
-    // the least-recently-used engine (results are pure functions of
-    // the seeds, so eviction is invisible beyond reconstruction cost).
-    if (engines_.size() >= kMaxCachedEngines) {
-        const int victim_t = engineLru_.front();
-        engineLru_.pop_front();
-        auto victim = engines_.find(victim_t);
-        retiredStats_ += victim->second->stats();
-        engines_.erase(victim);
-    }
-    accel::McEngineConfig mc;
-    mc.threads = opts_.threads;
-    mc.generatorId = opts_.grngId;
-    mc.seedBase = *opts_.seed;
-    mc.backendId = backendId_;
-    mc.schedule = schedule_;
-    accel::AcceleratorConfig config = config_;
-    config.mcSamples = t;
-    it = engines_
-             .emplace(t, std::make_unique<accel::McEngine>(
-                             program_, config, mc))
-             .first;
-    engineLru_.push_back(t);
-    return *it->second;
-}
-
 InferenceResult
 InferenceSession::buildResult(std::uint64_t request_id,
                               const accel::McBatchResult &detailed,
@@ -720,7 +719,7 @@ InferenceSession::buildResult(std::uint64_t request_id,
                               std::size_t count, int t,
                               std::size_t batched_images) const
 {
-    const std::size_t out_dim = program_.outputDim();
+    const std::size_t out_dim = outputDim();
     InferenceResult result;
     result.requestId = request_id;
     result.mcSamples = t;
@@ -794,7 +793,7 @@ InferenceSession::run(const InferenceRequest &request)
     std::lock_guard<std::mutex> lock(execMutex_);
     InferenceResult result = buildResult(
         id,
-        engineFor(t).classifyBatchAdaptive(
+        engine_.classifyBatchAdaptive(
             request.data(), request.count, request.dim,
             adaptiveOptions(t, effectiveDeadline(request)),
             opts_.uncertainty),
@@ -987,7 +986,7 @@ void
 InferenceSession::executePass(std::vector<Queued> &items, int t,
                               bool held)
 {
-    const std::size_t dim = program_.inputDim();
+    const std::size_t dim = inputDim();
     std::size_t total_images = 0;
     for (const auto &item : items)
         total_images += item.request.count;
@@ -1035,7 +1034,7 @@ InferenceSession::executePass(std::vector<Queued> &items, int t,
         tightest = tightest == 0 ? remaining
                                  : std::min(tightest, remaining);
     }
-    const auto detailed = engineFor(t).classifyBatchAdaptive(
+    const auto detailed = engine_.classifyBatchAdaptive(
         xs, total_images, dim, adaptiveOptions(t, tightest),
         opts_.uncertainty);
     // Per-image outputs are independent of the batch composition on
@@ -1077,10 +1076,7 @@ accel::CycleStats
 InferenceSession::stats() const
 {
     std::lock_guard<std::mutex> lock(execMutex_);
-    accel::CycleStats merged = retiredStats_;
-    for (const auto &[t, engine] : engines_)
-        merged += engine->stats();
-    return merged;
+    return engine_.stats();
 }
 
 } // namespace vibnn::serve

@@ -6,12 +6,12 @@
  * The paper's deployment story (and the follow-on FPGA serving work it
  * inspired, e.g. Fan et al., arXiv:2105.09163) is request → Monte-Carlo
  * ensemble → calibrated prediction. An InferenceSession is that story
- * as an API: it owns a compiled QuantizedProgram, an executor-backend
- * Monte-Carlo engine per ensemble size, and a submission queue, and
- * turns InferenceRequests (one or many images) into InferenceResults
- * carrying the ensemble-mean probabilities plus the full uncertainty
- * decomposition (predictive entropy, mutual information / BALD,
- * max-prob confidence, top-k) per image.
+ * as an API: it owns a compiled QuantizedProgram, one executor-backend
+ * Monte-Carlo engine that serves every ensemble size, and a submission
+ * queue, and turns InferenceRequests (one or many images) into
+ * InferenceResults carrying the ensemble-mean probabilities plus the
+ * full uncertainty decomposition (predictive entropy, mutual
+ * information / BALD, max-prob confidence, top-k) per image.
  *
  * Two call styles:
  *
@@ -105,8 +105,8 @@ struct SessionOptions
     /** GRNG design id (see grng::makeGenerator); empty inherits the
      *  model source's id (a Builder::system() session) or "rlf".
      *  "philox" (VIBNN_SERVE_GRNG=philox) selects the counter-based
-     *  splittable generator: per-round rekey is in-place and throughput
-     *  sessions shard the eps supply across the work pool. */
+     *  splittable generator: throughput sessions shard its eps supply
+     *  across the work pool. */
     std::string grngId;
     /** Master seed; unset inherits the model source's seed (a
      *  Builder::system() session) or 1. Every eps stream derives from
@@ -426,17 +426,17 @@ class InferenceSession
     };
     Counters counters() const;
 
-    /** Aggregate executor statistics merged over all engines. */
+    /** The engine's executor statistics, merged over its replicas. */
     accel::CycleStats stats() const;
 
     const SessionOptions &options() const { return opts_; }
-    const accel::QuantizedProgram &program() const { return program_; }
+    const accel::QuantizedProgram &program() const { return engine_.program(); }
     const accel::AcceleratorConfig &acceleratorConfig() const
     {
-        return config_;
+        return engine_.config();
     }
-    std::size_t inputDim() const { return program_.inputDim(); }
-    std::size_t outputDim() const { return program_.outputDim(); }
+    std::size_t inputDim() const { return program().inputDim(); }
+    std::size_t outputDim() const { return program().outputDim(); }
     /** The executor backend id the session actually runs on. */
     const std::string &backendId() const { return backendId_; }
 
@@ -449,7 +449,7 @@ class InferenceSession
   private:
     struct Queued;
 
-    InferenceSession(accel::QuantizedProgram program,
+    InferenceSession(const accel::QuantizedProgram &program,
                      const accel::AcceleratorConfig &config,
                      const SessionOptions &opts);
 
@@ -467,13 +467,6 @@ class InferenceSession
 
     /** fatal() unless the request matches the program geometry. */
     void validateRequest(const InferenceRequest &request) const;
-
-    /** The engine serving ensemble size `t` (created on first use,
-     *  cached up to kMaxCachedEngines — per-request T is caller
-     *  controlled, so the cache must stay bounded; an evicted engine's
-     *  CycleStats are folded into retiredStats_ first). Callers hold
-     *  execMutex_. */
-    accel::McEngine &engineFor(int t);
 
     /** Run one engine pass over `items` (same effective T), build and
      *  fulfill/collect the per-request results. `held` marks a pass
@@ -499,8 +492,6 @@ class InferenceSession
     void workerLoop();
     void ensureWorker();
 
-    accel::QuantizedProgram program_;
-    accel::AcceleratorConfig config_;
     SessionOptions opts_;
     std::string backendId_;
     accel::McSchedule schedule_;
@@ -515,14 +506,13 @@ class InferenceSession
      *  must fail with a message, not a bad_alloc. */
     static constexpr int kMaxEnsembleSize = 65536;
 
-    /** Serializes engine construction/use and counter updates. */
+    /** Serializes engine use and counter updates. */
     mutable std::mutex execMutex_;
-    static constexpr std::size_t kMaxCachedEngines = 8;
-    std::map<int, std::unique_ptr<accel::McEngine>> engines_;
-    /** Cached ensemble sizes, least-recently-used first (the eviction
-     *  order of engines_). */
-    std::deque<int> engineLru_;
-    accel::CycleStats retiredStats_;
+    /** Serves every T: each pass passes its T as the round budget, and
+     *  round r's eps stream depends on the seed and r only, so one
+     *  engine's replicas and draw cache serve every ensemble size. It
+     *  also holds the session's program and accelerator config. */
+    accel::McEngine engine_;
     Counters counters_;
 
     std::atomic<std::uint64_t> nextRequestId_{1};

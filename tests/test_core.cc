@@ -82,8 +82,8 @@ TEST(VibnnSystem, SimulatorAndFunctionalAgree)
 {
     const auto ds = smallDataset();
     const auto sys = smallSystem(ds);
-    auto sim = sys.makeSimulator();
-    auto fun = sys.makeFunctionalRunner();
+    auto sim = sys.makeExecutor("simulator");
+    auto fun = sys.makeExecutor("functional");
     for (int i = 0; i < 3; ++i) {
         ASSERT_EQ(sim->runPass(ds.test.sample(i)),
                   fun->runPass(ds.test.sample(i)));
@@ -137,7 +137,7 @@ TEST(VibnnSystem, ClassifyBatchMatchesFunctionalSerial)
     nn::DataView few = ds.test.view();
     few.count = count;
 
-    auto runner = frozen.makeFunctionalRunner();
+    auto runner = frozen.makeExecutor("functional");
     std::vector<std::size_t> serial(count);
     for (std::size_t i = 0; i < count; ++i)
         serial[i] = runner->classify(few.sample(i));
@@ -190,8 +190,8 @@ TEST(VibnnSystem, WrapsConvolutionalNetworks)
     EXPECT_EQ(sys.convNetwork().outputDim(), 4u);
 
     // The full deployment surface works on the CNN program.
-    auto sim = sys.makeSimulator();
-    auto fun = sys.makeFunctionalRunner();
+    auto sim = sys.makeExecutor("simulator");
+    auto fun = sys.makeExecutor("functional");
     std::vector<float> x(64, 0.4f);
     ASSERT_EQ(sim->runPass(x.data()), fun->runPass(x.data()));
     EXPECT_GT(sim->stats().totalCycles, 0u);

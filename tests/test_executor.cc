@@ -128,7 +128,6 @@ class CountingGenerator : public grng::GaussianGenerator
     }
     void seekTo(std::uint64_t offset) override { inner_->seekTo(offset); }
     std::uint64_t streamPos() const override { return inner_->streamPos(); }
-    bool reseed(std::uint64_t seed) override { return inner_->reseed(seed); }
     std::string
     freshStreamKey() const override
     {

@@ -439,36 +439,6 @@ TEST(Philox, SeekToRepositionsTheSequentialStream)
         ASSERT_EQ(tail[i], reference[437 + i]) << "i=" << i;
 }
 
-TEST(Philox, ReseedMatchesFreshConstruction)
-{
-    // The in-place rekey the McEngine round loop uses must be
-    // indistinguishable from constructing a new generator.
-    auto recycled = makeGenerator("philox", 1);
-    std::vector<double> warmup(100);
-    recycled->fill(warmup.data(), warmup.size());
-    ASSERT_TRUE(recycled->reseed(987654321));
-
-    auto fresh = makeGenerator("philox", 987654321);
-    for (int i = 0; i < 512; ++i)
-        ASSERT_DOUBLE_EQ(recycled->next(), fresh->next()) << "i=" << i;
-}
-
-TEST(Philox, PairCacheInvalidatedByReseed)
-{
-    // next() memoizes the current Box-Muller pair (one transform per
-    // two samples). After a rekey the same block index holds different
-    // values, so a stale cache would replay the old key's pair —
-    // drawing one sample (block 0 cached), reseeding, then drawing
-    // from block 0 again is the exact aliasing scenario.
-    auto recycled = makeGenerator("philox", 3);
-    (void)recycled->next(); // caches block 0 of key(3)
-    ASSERT_TRUE(recycled->reseed(99));
-
-    auto fresh = makeGenerator("philox", 99);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_DOUBLE_EQ(recycled->next(), fresh->next()) << "i=" << i;
-}
-
 TEST(Philox, NextAndFillInterleavingsShareOneStream)
 {
     // Phase-at-a-time next(), bulk fill() at every parity, and
@@ -508,7 +478,6 @@ TEST(Philox, StatefulGeneratorsRejectSplitApis)
 {
     auto rlf = makeGenerator("rlf", 1);
     EXPECT_FALSE(rlf->splittable());
-    EXPECT_FALSE(rlf->reseed(2));
     EXPECT_DEATH(rlf->seekTo(10), "not splittable");
     EXPECT_DEATH((void)rlf->streamPos(), "not splittable");
     const fixed::FixedPointFormat fmt{8, 5};
@@ -519,9 +488,9 @@ TEST(Philox, StatefulGeneratorsRejectSplitApis)
 TEST(FreshStreamKey, KeyedGeneratorsHonourTheContract)
 {
     // A non-empty freshStreamKey() promises: equal keys, identical
-    // streams; and it is non-empty only until the first draw (or again
-    // after reseed()). RLF (every variant) and Philox carry keys; the
-    // other generators keep "" and are always regenerated.
+    // streams; and it is non-empty only until the first draw. RLF
+    // (every variant) and Philox carry keys; the other generators keep
+    // "" and are always regenerated.
     const std::set<std::string> keyed = {"rlf", "rlf-64", "rlf-nomux",
                                          "rlf-single", "philox"};
     std::set<std::string> seen_keys;
@@ -548,14 +517,10 @@ TEST(FreshStreamKey, KeyedGeneratorsHonourTheContract)
         // Another seed names another stream.
         EXPECT_NE(makeGenerator(id, 2025)->freshStreamKey(), key) << id;
 
-        // One draw ends freshness; reseed() (where supported) restores
-        // the key of the seed it restarts from.
+        // One draw ends freshness.
         auto drawn = makeGenerator(id, 2024);
         (void)drawn->next();
         EXPECT_EQ(drawn->freshStreamKey(), "") << id;
-        if (drawn->reseed(2024)) {
-            EXPECT_EQ(drawn->freshStreamKey(), key) << id;
-        }
     }
     EXPECT_EQ(seen_keys.size(), keyed.size());
 }

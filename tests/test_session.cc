@@ -16,8 +16,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "accel/batched_runner.hh"
 #include "accel/mc_engine.hh"
 #include "accel/program.hh"
 #include "bnn/bayesian_mlp.hh"
@@ -409,23 +411,93 @@ TEST(InferenceSession, LeanModeSkipsSampleDistributionsOnly)
 
 TEST(InferenceSession, PerRequestEnsembleSizeOverride)
 {
+    // One session serves every T: round r's eps stream depends on the
+    // seed and r only (roundSeed / streamSeed), never on T. So a
+    // request at T must equal, bit for bit, a session built at T and
+    // an McEngine built with mcSamples = T, and in Throughput mode a
+    // pass at a T already covered caches no new rounds.
     const auto config = smallConfig(8);
-    auto session = smallBuilder(config).build();
-    const auto xs = randomBatch(1, session->inputDim(), 37);
+    const std::size_t count = 2, dim = 24;
+    const auto xs = randomBatch(count, dim, 37);
+    const int ts[] = {8, 3, 2, 8};
 
-    InferenceRequest small = InferenceRequest::borrow(
-        xs.data(), 1, session->inputDim());
-    small.mcSamples = 3;
-    const auto result = session->run(small);
-    EXPECT_EQ(result.mcSamples, 3);
+    for (const ExecMode mode :
+         {ExecMode::Fidelity, ExecMode::Throughput}) {
+        for (const char *grng : {"rlf", "philox"}) {
+            SCOPED_TRACE(std::string(execModeName(mode)) + " " + grng);
+            auto session =
+                smallBuilder(config).mode(mode).grng(grng).build();
+            // The draw cache is read around this session's passes
+            // only, before any reference below exists.
+            const bool cached = mode == ExecMode::Throughput;
+            const std::size_t cached_before =
+                accel::BatchedRunner::drawCacheBytes();
+            std::size_t cached_after_first = 0;
+            std::vector<InferenceResult> served;
+            for (const int t : ts) {
+                InferenceRequest request =
+                    InferenceRequest::borrow(xs.data(), count, dim);
+                request.mcSamples = t;
+                served.push_back(session->run(request));
+                EXPECT_EQ(served.back().mcSamples, t);
+                const std::size_t cached_now =
+                    accel::BatchedRunner::drawCacheBytes();
+                if (served.size() == 1)
+                    cached_after_first = cached_now;
+                else if (cached)
+                    EXPECT_EQ(cached_now, cached_after_first)
+                        << "the T = " << t << " pass cached new rounds";
+            }
+            if (cached)
+                EXPECT_GT(cached_after_first, cached_before);
 
-    // A request at T=3 must match a whole session built at T=3 (the
-    // per-unit stream seeds depend only on (seed, unit), not on T).
-    auto session_t3 = smallBuilder(config).mcSamples(3).build();
-    const auto reference = session_t3->run(InferenceRequest::borrow(
-        xs.data(), 1, session->inputDim()));
-    EXPECT_EQ(result.predictions.front().probs,
-              reference.predictions.front().probs);
+            for (std::size_t k = 0; k < served.size(); ++k) {
+                const int t = ts[k];
+                SCOPED_TRACE("T = " + std::to_string(t));
+                const auto fresh = smallBuilder(config)
+                                       .mode(mode)
+                                       .grng(grng)
+                                       .mcSamples(t)
+                                       .build()
+                                       ->run(InferenceRequest::borrow(
+                                           xs.data(), count, dim));
+
+                // An engine of its own at this T: what the shared
+                // session must match after serving other T.
+                accel::AcceleratorConfig engine_config = config;
+                engine_config.mcSamples = t;
+                accel::McEngineConfig mc;
+                mc.generatorId = grng;
+                mc.seedBase = 211;
+                mc.backendId = session->backendId();
+                mc.schedule = mode == ExecMode::Throughput
+                                  ? accel::McSchedule::PerRound
+                                  : accel::McSchedule::PerUnit;
+                accel::McEngine engine(session->program(), engine_config,
+                                       mc);
+                const auto detailed =
+                    engine.classifyBatchDetailed(xs.data(), count, dim);
+
+                for (std::size_t i = 0; i < count; ++i) {
+                    const auto &p = served[k].predictions[i];
+                    const auto &q = fresh.predictions[i];
+                    EXPECT_EQ(p.predicted, q.predicted) << "image " << i;
+                    EXPECT_EQ(p.probs, q.probs) << "image " << i;
+                    EXPECT_EQ(p.entropy, q.entropy) << "image " << i;
+                    EXPECT_EQ(p.mutualInformation, q.mutualInformation)
+                        << "image " << i;
+                    EXPECT_EQ(p.predicted, detailed.predicted[i])
+                        << "image " << i;
+                    const float *row = detailed.probs.data() +
+                        i * session->outputDim();
+                    EXPECT_EQ(p.probs,
+                              std::vector<float>(
+                                  row, row + session->outputDim()))
+                        << "image " << i;
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------ construction plumbing
@@ -573,6 +645,34 @@ TEST(SessionOptionsDeathTest, DeadlineEnvKnobsParseStrictly)
     EXPECT_DEATH((void)SessionOptions::fromEnv(),
                  "VIBNN_SERVE_MAX_BATCH must be >= 0");
     unsetenv("VIBNN_SERVE_MAX_BATCH");
+}
+
+TEST(SessionOptionsDeathTest, IntegerEnvKnobsNeverWrap)
+{
+    // Out of range is as fatal as garbled: strtoll's saturation and
+    // the narrowing casts would otherwise serve a different value than
+    // the one set.
+    const struct
+    {
+        const char *name;
+        const char *value;
+        const char *message;
+    } cases[] = {
+        {"VIBNN_SERVE_SEED", "99999999999999999999",
+         "VIBNN_SERVE_SEED is out of range"},
+        {"VIBNN_SERVE_T", "4294967304", "VIBNN_SERVE_T must fit in an int"},
+        {"VIBNN_SERVE_MIN_T", "4294967297",
+         "VIBNN_SERVE_MIN_T must fit in an int"},
+        {"VIBNN_SERVE_CHUNK", "-4294967292",
+         "VIBNN_SERVE_CHUNK must fit in an int"},
+        {"VIBNN_SERVE_TOPK", "-1", "VIBNN_SERVE_TOPK must be >= 0"},
+    };
+    for (const auto &c : cases) {
+        setenv(c.name, c.value, 1);
+        EXPECT_DEATH((void)SessionOptions::fromEnv(), c.message)
+            << c.name << "=" << c.value;
+        unsetenv(c.name);
+    }
 }
 
 TEST(SessionValidationDeathTest, DeadlinesAreValidated)
