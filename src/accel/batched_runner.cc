@@ -165,15 +165,6 @@ BatchedRunner::setGenerator(grng::GaussianGenerator *generator)
     weightGen_.setGenerator(generator);
 }
 
-namespace
-{
-
-/** Eps scratch per shard chunk of the sharded weight draw: bounds the
- *  per-worker footprint (64 KiB) independent of op sizes. */
-constexpr std::size_t kEpsShardChunk = 16384;
-
-} // namespace
-
 void
 BatchedRunner::setWorkPool(ThreadPool *pool)
 {
@@ -181,9 +172,6 @@ BatchedRunner::setWorkPool(ThreadPool *pool)
     const std::size_t shards = pool ? pool->parties() : 1;
     patches_.resize(std::max<std::size_t>(shards, 1));
     patches16_.resize(patches_.size());
-    epsShard_.resize(patches_.size());
-    for (auto &scratch : epsShard_)
-        scratch.resize(kEpsShardChunk);
 }
 
 template <typename Body>
@@ -210,40 +198,6 @@ BatchedRunner::forImageShards(std::size_t count, const Body &body)
 }
 
 void
-BatchedRunner::sampleWeightRange(std::size_t shard, std::size_t w0,
-                                 std::size_t w1, std::uint64_t base)
-{
-    // Walk the compute ops overlapping global weight indices [w0, w1);
-    // weight index base + i consumes eps stream sample base + i, which
-    // is exactly the position the sequential op-order draw would hand
-    // it — so any partition of the index space yields the identical
-    // arena.
-    const auto &ops = kernels::activeKernels();
-    std::int32_t *eps_scratch = epsShard_[shard].data();
-    for (const std::size_t oi : computeOps_) {
-        const auto &op = program_.ops[oi];
-        const std::size_t op_base = opWeightBase_[oi];
-        const std::size_t op_n = op.bank.outDim * op.bank.inDim;
-        const std::size_t lo = std::max(w0, op_base);
-        const std::size_t hi = std::min(w1, op_base + op_n);
-        if (lo >= hi)
-            continue;
-        for (std::size_t at = lo; at < hi; at += kEpsShardChunk) {
-            const std::size_t take =
-                std::min(kEpsShardChunk, hi - at);
-            const std::size_t off = at - op_base;
-            weightGen_.sampleBlockFusedAt(
-                op.bank.muWeight.data() + off,
-                op.bank.sigmaWeight.data() + off, roundWeights_ + at,
-                take, base + at, eps_scratch);
-        }
-        if (opInt16_[oi])
-            ops.packInt16(roundWeights_ + lo, roundWeights16_ + lo,
-                          hi - lo);
-    }
-}
-
-void
 BatchedRunner::sampleRoundWeights()
 {
     // One posterior draw per compute op, in op order: the identical
@@ -251,26 +205,6 @@ BatchedRunner::sampleRoundWeights()
     // executors, but one eps per *weight* instead of one per lane per
     // chunk cycle (no padding lanes, no per-position redraw), fused
     // straight into the int32 arena by the dispatched kernel.
-    const std::size_t total = weightArena_.size();
-    ThreadPool *pool = workPool_;
-    const std::size_t shards =
-        pool ? std::min(pool->parties(), epsShard_.size()) : 1;
-    if (weightGen_.splittable() && shards > 1 && total > 0) {
-        // Counter-based eps source: the draw itself shards. Each worker
-        // produces its slice of the round's eps stream via the
-        // random-access path, so weight sampling — the serial cost the
-        // weight-reuse schedule leaves behind — parallelizes too.
-        const std::uint64_t base = weightGen_.streamPos();
-        pool->parallelFor(shards, [&](std::size_t s) {
-            const std::size_t w0 = s * total / shards;
-            const std::size_t w1 = (s + 1) * total / shards;
-            if (w0 < w1)
-                sampleWeightRange(s, w0, w1, base);
-        });
-        weightGen_.finishShardedRound(base + total);
-        return;
-    }
-
     const auto &ops = kernels::activeKernels();
     for (const std::size_t oi : computeOps_) {
         const auto &op = program_.ops[oi];

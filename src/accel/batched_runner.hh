@@ -121,7 +121,7 @@ class BatchedRunner : public Executor
     ExecutorCaps
     caps() const override
     {
-        return {/*cycleAccurate=*/false, /*batchedRounds=*/true};
+        return {/*batchedRounds=*/true};
     }
 
     /** One forward pass == a one-image round (the weight sample is
@@ -175,17 +175,10 @@ class BatchedRunner : public Executor
      *  scratch arena otherwise. Then injects faults. */
     void prepareRoundWeights();
 
-    /** Draw this round's weight set into roundWeights_ (op order).
-     *  With a work pool and a splittable eps source (philox), the draw
-     *  itself shards across workers via the counter-based
-     *  random-access path — bit-identical to the sequential draw for
-     *  any shard count. */
+    /** Draw this round's weight set into roundWeights_, serially in op
+     *  order: eps is never drawn inside a parallel region, so a work
+     *  pool shards only the round's images. */
     void sampleRoundWeights();
-
-    /** Sharded body of sampleRoundWeights: sample global weight indices
-     *  [w0, w1) using eps stream offsets base + index. */
-    void sampleWeightRange(std::size_t shard, std::size_t w0,
-                           std::size_t w1, std::uint64_t base);
 
     /** Chaos-only bit-flip injection over the round's weight arena
      *  (the "accel.weights.bitflip" fault site, p = per-bit flip
@@ -270,10 +263,7 @@ class BatchedRunner : public Executor
      *  images never share staging). */
     std::vector<std::vector<std::int32_t>> patches_;
     std::vector<std::vector<std::int16_t>> patches16_;
-    /** Per-shard eps scratch for the sharded weight draw (sized in
-     *  setWorkPool; one chunk per shard, reused across ops). */
-    std::vector<kernels::AlignedVector<std::int32_t>> epsShard_;
-    /** Compute ops in op order, for the sharded draw's range walk. */
+    /** Compute ops in op order, for the weight draw. */
     std::vector<std::size_t> computeOps_;
 
     /** Intra-pass worker pool (not owned; nullptr = serial). */

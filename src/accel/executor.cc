@@ -156,11 +156,11 @@ struct BackendEntry
 };
 
 const BackendEntry kBackends[] = {
-    {"simulator", {/*cycleAccurate=*/true, /*batchedRounds=*/false},
+    {"simulator", {/*batchedRounds=*/false},
      &makeBorrowing<Simulator>, &makeOwning<Simulator>},
-    {"functional", {/*cycleAccurate=*/false, /*batchedRounds=*/false},
+    {"functional", {/*batchedRounds=*/false},
      &makeBorrowing<FunctionalRunner>, &makeOwning<FunctionalRunner>},
-    {"batched", {/*cycleAccurate=*/false, /*batchedRounds=*/true},
+    {"batched", {/*batchedRounds=*/true},
      &makeBorrowing<BatchedRunner>, &makeOwning<BatchedRunner>},
 };
 

@@ -81,9 +81,6 @@ struct CycleStats
 /** What an executor backend provides. */
 struct ExecutorCaps
 {
-    /** stats() carries real cycle/port accounting (the paper's timing
-     *  model); false means only pass/sample counters are meaningful. */
-    bool cycleAccurate = false;
     /** runRoundBatch() reuses one weight sample per compute op across
      *  the whole batch (the throughput path); false means the default
      *  per-image fresh-sample fallback runs. */

@@ -40,7 +40,7 @@ class FunctionalRunner : public Executor
     ExecutorCaps
     caps() const override
     {
-        return {/*cycleAccurate=*/false, /*batchedRounds=*/false};
+        return {/*batchedRounds=*/false};
     }
 
     /** One forward pass; raw outputs on the activation grid. */
@@ -49,8 +49,8 @@ class FunctionalRunner : public Executor
     /** Swap the eps source (round/unit scheduling). Not owned. */
     void setGenerator(grng::GaussianGenerator *generator) override;
 
-    /** Pass/sample counters only (caps().cycleAccurate is false, so
-     *  the cycle and port fields stay zero). */
+    /** Pass/sample counters only: this backend has no timing model,
+     *  so the cycle and port fields stay zero. */
     const CycleStats &stats() const override { return stats_; }
 
     const QuantizedProgram &program() const override { return program_; }

@@ -79,7 +79,7 @@ class Simulator : public Executor
     ExecutorCaps
     caps() const override
     {
-        return {/*cycleAccurate=*/true, /*batchedRounds=*/false};
+        return {/*batchedRounds=*/false};
     }
 
     /**

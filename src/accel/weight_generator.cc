@@ -10,7 +10,6 @@ WeightGenerator::WeightGenerator(const DatapathKernel &kernel,
     : kernel_(kernel), generator_(generator)
 {
     VIBNN_ASSERT(generator != nullptr, "weight generator needs a GRNG");
-    fetched_ = startPos(*generator);
     epsReal_.resize(epsBlock);
     epsRaw_.resize(epsBlock);
 
@@ -27,12 +26,6 @@ WeightGenerator::WeightGenerator(const DatapathKernel &kernel,
     sampleParams_.epsAbsMax = -kernel_.eps.rawMin();
 }
 
-std::uint64_t
-WeightGenerator::startPos(const grng::GaussianGenerator &gen)
-{
-    return gen.splittable() ? gen.streamPos() : 0;
-}
-
 void
 WeightGenerator::skipFresh(std::uint64_t n)
 {
@@ -46,17 +39,12 @@ void
 WeightGenerator::refill()
 {
     if (lag_ > 0) {
-        // Step the generator past the skipped eps. The ring is empty
-        // here, so fetched_ is exactly where its next block starts.
-        if (generator_->splittable()) {
-            generator_->seekTo(fetched_);
-        } else {
-            for (std::uint64_t left = lag_; left > 0;) {
-                const auto take = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(left, epsBlock));
-                generator_->fill(epsReal_.data(), take);
-                left -= take;
-            }
+        // Step the generator past the skipped eps.
+        for (std::uint64_t left = lag_; left > 0;) {
+            const auto take = static_cast<std::size_t>(
+                std::min<std::uint64_t>(left, epsBlock));
+            generator_->fill(epsReal_.data(), take);
+            left -= take;
         }
         lag_ = 0;
     }
@@ -81,19 +69,6 @@ WeightGenerator::refill()
 }
 
 void
-WeightGenerator::finishShardedRound(std::uint64_t end_pos)
-{
-    VIBNN_ASSERT(end_pos >= streamPos(),
-                 "sharded round cannot end before it started");
-    samplesDrawn_ += end_pos - streamPos();
-    generator_->seekTo(end_pos); // also covers any skipped eps
-    fetched_ = end_pos;
-    lag_ = 0;
-    epsPos_ = 0;
-    epsFill_ = 0; // ring contents predate the jump
-}
-
-void
 WeightGenerator::setGenerator(grng::GaussianGenerator *generator)
 {
     VIBNN_ASSERT(generator != nullptr, "weight generator needs a GRNG");
@@ -101,7 +76,7 @@ WeightGenerator::setGenerator(grng::GaussianGenerator *generator)
     epsPos_ = 0;
     epsFill_ = 0; // discard prefetched eps from the old stream
     lag_ = 0;
-    fetched_ = startPos(*generator);
+    fetched_ = 0;
 }
 
 } // namespace vibnn::accel

@@ -127,48 +127,6 @@ class WeightGenerator
     }
 
     /**
-     * Sharded fast path: sample `count` weights using eps samples
-     * `offset .. offset + count` of the generator's stream, bypassing
-     * the ring and leaving the sequential cursor untouched. Requires
-     * splittable(); `eps_scratch` must hold `count` entries and belong
-     * to the calling shard, so shards covering disjoint offset ranges
-     * may run concurrently on one WeightGenerator. The weights are
-     * bit-identical to sampleBlockFused consuming the same stream
-     * positions sequentially (fillFixedAt contract + the same
-     * dispatched sampling kernel). Call finishShardedRound() once all
-     * shards complete to re-align the sequential stream.
-     */
-    void
-    sampleBlockFusedAt(const std::int32_t *mu_raw,
-                       const std::int32_t *sigma_raw,
-                       std::int32_t *weights, std::size_t count,
-                       std::uint64_t offset, std::int32_t *eps_scratch)
-    {
-        generator_->fillFixedAt(offset, eps_scratch, count,
-                                kernel_.eps);
-        kernels::activeKernels().sampleWeights(mu_raw, sigma_raw,
-                                               eps_scratch, weights,
-                                               count, sampleParams_);
-    }
-
-    /** True when the eps source supports the sharded random-access
-     *  path (counter-based generators). */
-    bool splittable() const { return generator_->splittable(); }
-
-    /**
-     * Stream position of the next eps the sequential path would
-     * consume (prefetched-but-unconsumed ring entries included, skipped
-     * eps counted as consumed). For a splittable generator it is
-     * absolute — the count starts at the generator's own cursor — so
-     * this is where a sharded round must start its offsets.
-     */
-    std::uint64_t
-    streamPos() const
-    {
-        return fetched_ - (epsFill_ - epsPos_);
-    }
-
-    /**
      * The generator's freshStreamKey() while this WeightGenerator has
      * fetched nothing from it (and skipped nothing); "" otherwise. A
      * non-empty key names every eps the next draws will read.
@@ -184,20 +142,11 @@ class WeightGenerator
      * Book the next `n` eps as consumed without generating them: the
      * caller already holds what they would produce (a cached weight
      * arena). Needs an empty ring, which a fresh stream has. The
-     * generator catches up lazily, on the next refill — seekTo() past
-     * the skipped eps when splittable, generate-and-discard otherwise
-     * — so a later draw reads exactly the eps it would have read had
-     * the skipped ones been drawn.
+     * generator catches up lazily, on the next refill, by generating
+     * and discarding the skipped eps, so a later draw reads exactly
+     * the eps it would have read had the skipped ones been drawn.
      */
     void skipFresh(std::uint64_t n);
-
-    /**
-     * Complete a sharded round that consumed eps samples
-     * streamPos() .. end_pos: repositions the sequential cursor past
-     * the shard ranges, drops ring contents that predate the jump, and
-     * books the consumed eps into samplesDrawn().
-     */
-    void finishShardedRound(std::uint64_t end_pos);
 
     /**
      * Swap the eps source. Prefetched-but-unconsumed eps from the old
@@ -220,17 +169,13 @@ class WeightGenerator
      *  skipped eps first. */
     void refill();
 
-    /** Where a new generator's stream count starts: its cursor when
-     *  splittable, else 0. */
-    static std::uint64_t startPos(const grng::GaussianGenerator &gen);
-
     DatapathKernel kernel_;
     grng::GaussianGenerator *generator_;
     /** Precomputed fused-sampling kernel parameters (from kernel_). */
     kernels::SampleParams sampleParams_;
     std::uint64_t samplesDrawn_ = 0;
-    /** Stream position past the last eps pulled from the generator or
-     *  skipped (consumed + ring + skipped). */
+    /** Eps pulled from the generator or skipped since it was set
+     *  (consumed + ring + skipped). */
     std::uint64_t fetched_ = 0;
     /** Skipped eps the generator has not stepped past yet. */
     std::uint64_t lag_ = 0;

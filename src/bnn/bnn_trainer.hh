@@ -16,10 +16,10 @@
  *  - trainBnnBatched: the minibatch engine. Forward and backward run
  *    as whole-minibatch f32 GEMM on the SIMD kernel layer
  *    (gemmBatchF32 / gemmAtBF32 / gemmABF32), eps comes as one block
- *    per minibatch from the splittable Philox stream (drawn serially
- *    up front, then consumed by GEMMs sharded over disjoint rows — so
- *    results are bit-identical for any ThreadPool partition, the PR 6
- *    contract), the KL term is a single fused pass per layer, and the
+ *    per minibatch from the counter-based Philox stream (drawn
+ *    serially up front, then consumed by GEMMs sharded over disjoint
+ *    rows — so results are bit-identical for any ThreadPool
+ *    partition), the KL term is a single fused pass per layer, and the
  *    Adam step walks the layers' own storage. The same engine hosts
  *    quantization-aware fine-tuning: forward through the eq-(15)
  *    fixed-point grids (raw-domain weight draws via the integer
@@ -115,7 +115,7 @@ struct BnnBatchedTrainConfig
 
     /**
      * Draw eps from the epoch loop's host Rng (the same xoshiro stream
-     * trainBnn uses) instead of the splittable Philox block stream.
+     * trainBnn uses) instead of the Philox block stream.
      * At batchSize = 1 with the LRT estimator this makes the batched
      * trainer consume exactly the per-sample trainer's draws — the
      * trajectory-parity pin. Production runs leave this off.

@@ -74,50 +74,6 @@ class GaussianGenerator
     }
 
     /**
-     * True for counter-based generators whose streams support random
-     * access: sample i is a pure function of (seed, i), so any worker
-     * can produce any subrange of the stream via fillFixedAt() and the
-     * sequential cursor can be repositioned with seekTo(). Stateful
-     * generators (LFSR walks, Wallace pools) return false.
-     */
-    virtual bool
-    splittable() const
-    {
-        return false;
-    }
-
-    /**
-     * Random-access fused fill: `out[0..n)` receives quantized samples
-     * `offset .. offset + n` of this generator's seeded stream, without
-     * moving the sequential cursor. Only meaningful when splittable();
-     * implementations must be re-entrant (no mutable state), so shards
-     * on different threads may call it concurrently on one generator.
-     */
-    virtual void
-    fillFixedAt(std::uint64_t, std::int32_t *, std::size_t,
-                const fixed::FixedPointFormat &)
-    {
-        fatal(name() + " is not splittable (fillFixedAt unsupported)");
-    }
-
-    /** Reposition the sequential stream to sample `offset`. Only
-     *  meaningful when splittable(). */
-    virtual void
-    seekTo(std::uint64_t)
-    {
-        fatal(name() + " is not splittable (seekTo unsupported)");
-    }
-
-    /** The sequential cursor: the offset of the next sample next() or
-     *  fill() would return (what seekTo() sets). Only meaningful when
-     *  splittable(). */
-    virtual std::uint64_t
-    streamPos() const
-    {
-        fatal(name() + " is not splittable (streamPos unsupported)");
-    }
-
-    /**
      * Identity of a fresh stream. Non-empty only while this generator
      * has drawn nothing since construction; two generators
      * with equal keys then produce bit-identical streams. A consumer

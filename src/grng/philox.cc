@@ -111,10 +111,6 @@ void
 PhiloxGrng::fillAt(std::uint64_t offset, double *out,
                    std::size_t n) const
 {
-    // Stateless on purpose: fillFixedAt is documented to run
-    // concurrently from multiple shards on one generator, so the
-    // stranded phases must not touch the shared pair cache — they pay
-    // the full-block transform into a local pair instead.
     std::size_t k = 0;
     double pair[2];
     if (n > 0 && (offset & 1)) { // stranded odd phase at the front
@@ -155,16 +151,6 @@ bool
 PhiloxGrng::fillFixed(std::int32_t *out, std::size_t n,
                       const fixed::FixedPointFormat &format)
 {
-    fillFixedAt(pos_, out, n, format);
-    pos_ += n;
-    return true;
-}
-
-void
-PhiloxGrng::fillFixedAt(std::uint64_t offset, std::int32_t *out,
-                        std::size_t n,
-                        const fixed::FixedPointFormat &format)
-{
     // Fused generation + quantization in one cache-resident sweep; the
     // double chunk never leaves the stack.
     constexpr std::size_t kChunk = 256;
@@ -172,12 +158,14 @@ PhiloxGrng::fillFixedAt(std::uint64_t offset, std::int32_t *out,
     std::size_t k = 0;
     while (k < n) {
         const std::size_t take = std::min(n - k, kChunk);
-        fillAt(offset + k, stage, take);
+        fillAt(pos_ + k, stage, take);
         for (std::size_t i = 0; i < take; ++i)
             out[k + i] = static_cast<std::int32_t>(format.fromReal(
                 stage[i], fixed::RoundMode::Nearest));
         k += take;
     }
+    pos_ += n;
+    return true;
 }
 
 } // namespace vibnn::grng

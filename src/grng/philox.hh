@@ -1,24 +1,19 @@
 /**
  * @file
- * Counter-based splittable Gaussian generator (Philox-4x32-10 +
- * Box-Muller).
+ * Counter-based Gaussian generator (Philox-4x32-10 + Box-Muller).
  *
  * Every stateful generator in this project (RLF walks, Wallace pools)
- * forces the eps stream to be produced sequentially: sample i cannot
- * exist until samples 0..i-1 have been stepped through. That serializes
- * weight sampling — the dominant cost of a Monte-Carlo round — onto one
- * worker even when the executor has a work pool. A counter-based
- * generator removes the constraint: sample i is a pure function of
- * (seed, i), so any worker can produce any subrange of any round's
- * stream (splittable per (op, round, offset) once the caller maps those
- * coordinates onto stream offsets), and a new round's stream is only a
- * new key: construction is one splitmix64 step and no state walk.
+ * reaches sample i only by stepping through samples 0..i-1, and a new
+ * stream costs a seeding walk. A counter-based generator has neither
+ * constraint: sample i is a pure function of (seed, i), so a new
+ * round's stream is only a new key — construction is one splitmix64
+ * step and no state walk — and the block fill computes each sample
+ * straight from its index.
  *
  * The counter transform is Philox-4x32-10 (Salmon et al., SC'11): ten
  * rounds of 32x32->64 multiplies and XORs over a 128-bit counter under
  * a 64-bit key, passing BigCrush. Each counter block yields two
- * doubles via Box-Muller, so sample i consumes block i/2, phase i%2 —
- * random access never recomputes more than one neighbor phase.
+ * doubles via Box-Muller, so sample i consumes block i/2, phase i%2.
  */
 
 #ifndef VIBNN_GRNG_PHILOX_HH
@@ -31,7 +26,7 @@
 namespace vibnn::grng
 {
 
-/** Counter-based splittable GRNG: Philox-4x32-10 + Box-Muller. */
+/** Counter-based GRNG: Philox-4x32-10 + Box-Muller. */
 class PhiloxGrng : public GaussianGenerator
 {
   public:
@@ -43,13 +38,6 @@ class PhiloxGrng : public GaussianGenerator
 
     bool fillFixed(std::int32_t *out, std::size_t n,
                    const fixed::FixedPointFormat &format) override;
-
-    bool splittable() const override { return true; }
-    void fillFixedAt(std::uint64_t offset, std::int32_t *out,
-                     std::size_t n,
-                     const fixed::FixedPointFormat &format) override;
-    void seekTo(std::uint64_t offset) override { pos_ = offset; }
-    std::uint64_t streamPos() const override { return pos_; }
 
     /** The key words; fresh while the cursor is at 0. */
     std::string freshStreamKey() const override;
@@ -64,16 +52,13 @@ class PhiloxGrng : public GaussianGenerator
      *  phase-at-a-time consumer (next()) pays the Philox + Box-Muller
      *  transform once per PAIR instead of once per sample (~2x). Pure
      *  memoization of a deterministic function of (key, block), so
-     *  stream values are unchanged. Only the single-threaded next()
-     *  path may use it: fillAt() must stay stateless because
-     *  fillFixedAt() runs concurrently from multiple shards. */
+     *  stream values are unchanged. */
     const double *ensureBlock(std::uint64_t block) const;
 
-    /** Stateless (and therefore concurrency-safe) core shared by
-     *  fill()/fillFixedAt(): samples `offset .. offset + n` of the
-     *  keyed stream. Touches no generator state, not even the pair
-     *  cache — sampleBlockFusedAt shards one generator across pool
-     *  threads through this path. */
+    /** Core of fill()/fillFixed(): samples `offset .. offset + n` of
+     *  the keyed stream. Leaves the pair cache to next(): a block fill
+     *  computes whole pairs, so the cache could serve only its
+     *  stranded end phases. */
     void fillAt(std::uint64_t offset, double *out, std::size_t n) const;
 
     std::uint32_t key0_;

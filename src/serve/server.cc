@@ -537,7 +537,7 @@ Server::handleClassify(Connection &conn,
         return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
                          msg.str());
     }
-    if (wire.mcSamples > 65536) {
+    if (wire.mcSamples > static_cast<std::uint32_t>(kMaxEnsembleSize)) {
         shard.inflight.fetch_sub(1);
         return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
                          "mcSamples too large");

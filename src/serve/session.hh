@@ -96,6 +96,11 @@ ExecMode parseExecMode(const std::string &name);
 /** Canonical lower-case name of a mode. */
 const char *execModeName(ExecMode mode);
 
+/** Upper bound on any ensemble size (session, per-request or wire) —
+ *  T drives count x T x outputDim allocations, so an absurd value must
+ *  fail with a message, not a bad_alloc. */
+constexpr int kMaxEnsembleSize = 65536;
+
 /** Session-wide serving policy. */
 struct SessionOptions
 {
@@ -105,8 +110,7 @@ struct SessionOptions
     /** GRNG design id (see grng::makeGenerator); empty inherits the
      *  model source's id (a Builder::system() session) or "rlf".
      *  "philox" (VIBNN_SERVE_GRNG=philox) selects the counter-based
-     *  splittable generator: throughput sessions shard its eps supply
-     *  across the work pool. */
+     *  generator. */
     std::string grngId;
     /** Master seed; unset inherits the model source's seed (a
      *  Builder::system() session) or 1. Every eps stream derives from
@@ -500,11 +504,6 @@ class InferenceSession
      *  otherwise the fallback streams images sequentially and merging
      *  would make outputs depend on batch composition. */
     bool coalesce_;
-
-    /** Upper bound on any ensemble size (session or per-request) —
-     *  T drives count x T x outputDim allocations, so an absurd value
-     *  must fail with a message, not a bad_alloc. */
-    static constexpr int kMaxEnsembleSize = 65536;
 
     /** Serializes engine use and counter updates. */
     mutable std::mutex execMutex_;

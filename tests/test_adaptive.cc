@@ -9,7 +9,7 @@
  * exit-reason reporting, sync/async equivalence, validation).
  *
  * Engine and session GRNGs honor VIBNN_SERVE_GRNG so the CI philox
- * pass exercises the adaptive path on the splittable stream too.
+ * pass exercises the adaptive path on the counter-based stream too.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ namespace
 {
 
 /** The stream design under test — "rlf" unless the CI matrix pins the
- *  splittable philox serving pass via VIBNN_SERVE_GRNG. */
+ *  philox serving pass via VIBNN_SERVE_GRNG. */
 std::string
 grngId()
 {

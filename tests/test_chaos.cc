@@ -84,6 +84,23 @@ startServer(const accel::AcceleratorConfig &config,
     return server;
 }
 
+/** Shard 0's in-flight request count once it reads `depth`, or what
+ *  it reads after 5 s: a client thread's request is admitted at an
+ *  unknown time after it starts, so a test waits on this, not on a
+ *  sleep. */
+std::size_t
+awaitQueueDepth(const Server &server, std::size_t depth)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::size_t seen = server.stats().shards.at(0).queueDepth;
+    while (seen != depth && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        seen = server.stats().shards.at(0).queueDepth;
+    }
+    return seen;
+}
+
 std::unique_ptr<InferenceSession>
 referenceSession(const accel::AcceleratorConfig &config,
                  const SessionOptions &opts)
@@ -468,7 +485,9 @@ TEST_F(Chaos, StopFlushesHeldRequestsInsteadOfWaitingOutTheirBudgets)
         ASSERT_TRUE(c.connect("127.0.0.1", server->port(), error));
         reply = c.classify(xs.data(), 1, dim);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Stop only once the request is admitted and held: before that the
+    // drain finds nothing in flight and closes the client's socket.
+    EXPECT_EQ(awaitQueueDepth(*server, 1), 1u);
 
     // stop() drains: the held request's pass runs NOW and its response
     // flushes before sockets come down — well inside the 2 s budget

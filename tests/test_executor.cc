@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -118,16 +117,6 @@ class CountingGenerator : public grng::GaussianGenerator
         ++draws;
         return inner_->fillFixed(out, n, format);
     }
-    bool splittable() const override { return inner_->splittable(); }
-    void
-    fillFixedAt(std::uint64_t offset, std::int32_t *out, std::size_t n,
-                const fixed::FixedPointFormat &format) override
-    {
-        ++draws; // sharded draws call this from pool workers
-        inner_->fillFixedAt(offset, out, n, format);
-    }
-    void seekTo(std::uint64_t offset) override { inner_->seekTo(offset); }
-    std::uint64_t streamPos() const override { return inner_->streamPos(); }
     std::string
     freshStreamKey() const override
     {
@@ -135,7 +124,7 @@ class CountingGenerator : public grng::GaussianGenerator
     }
     std::string name() const override { return inner_->name(); }
 
-    std::atomic<std::size_t> draws{0};
+    std::size_t draws = 0;
 
   private:
     std::unique_ptr<grng::GaussianGenerator> inner_;
@@ -196,12 +185,10 @@ TEST(ExecutorRegistry, ProvidesAllBackendsWithExpectedCaps)
         EXPECT_EQ(exec->program().ops.size(), program.ops.size());
         EXPECT_EQ(exec->config().peSets, config.peSets);
         const auto caps = exec->caps();
-        EXPECT_EQ(caps.cycleAccurate, id == "simulator") << id;
         EXPECT_EQ(caps.batchedRounds, id == "batched") << id;
         // The no-construction registry lookup must agree with the
         // backend's own flags (serving-layer scheduling relies on it).
         const auto static_caps = executorCaps(id);
-        EXPECT_EQ(static_caps.cycleAccurate, caps.cycleAccurate) << id;
         EXPECT_EQ(static_caps.batchedRounds, caps.batchedRounds) << id;
     }
 }
@@ -432,8 +419,8 @@ TEST(WeightEnsembleCache, RoundAfterHitReadsTheEpsAnUncachedRoundReads)
 {
     // A hit books its eps without generating them; the next round on
     // the same generator must still read exactly the eps it reads
-    // after an uncached first round — RLF catches up by drawing and
-    // discarding, Philox by seeking (serial and sharded).
+    // after an uncached first round. RLF and Philox both catch up by
+    // drawing and discarding, with and without a work pool.
     const auto config = smallConfig();
     const auto program = mlpProgram(config, 167, /*rho_init=*/-2.0f);
     const std::size_t count = 5, dim = program.inputDim();
@@ -624,6 +611,32 @@ TEST(McEngineRound, BitIdenticalAcrossThreadCounts)
         for (std::size_t j = 0; j < probs[0].size(); ++j)
             EXPECT_EQ(probs[i][j], probs[0][j])
                 << "threads=" << thread_counts[i] << " prob " << j;
+    }
+
+    // Budget 1: the fan-out has one unit, so the engine hands its pool
+    // to the runner, which shards the round's images. Each engine
+    // classifies twice, a cold draw and then a cache hit.
+    const auto config1 = smallConfig(1);
+    const auto program1 = mlpProgram(config1, 101, /*rho_init=*/-2.0f);
+    for (const std::string id : {"rlf", "philox"}) {
+        std::vector<float> want;
+        for (const std::size_t threads : thread_counts) {
+            McEngineConfig mc;
+            mc.threads = threads;
+            mc.generatorId = id;
+            mc.seedBase = 107;
+            mc.backendId = "batched";
+            mc.schedule = McSchedule::PerRound;
+            McEngine engine(program1, config1, mc);
+            for (int call = 0; call < 2; ++call) {
+                const auto result = engine.classifyBatchDetailed(
+                    xs.data(), count, dim, false);
+                if (want.empty())
+                    want = result.probs;
+                EXPECT_EQ(result.probs, want)
+                    << id << " threads=" << threads << " call " << call;
+            }
+        }
     }
 }
 

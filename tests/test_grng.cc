@@ -393,57 +393,11 @@ TEST(FusedFill, FillFixedMatchesFillPlusQuantizeForAllGenerators)
     }
 }
 
-TEST(Philox, SplittableRandomAccessMatchesSequential)
-{
-    // The splittable contract: fillFixedAt(offset, n) must reproduce
-    // exactly the samples the sequential stream hands out at those
-    // positions, for any offset (including odd ones that land on the
-    // second Box-Muller phase), without moving the cursor.
-    const fixed::FixedPointFormat fmt{8, 5};
-    auto gen = makeGenerator("philox", 777);
-    ASSERT_TRUE(gen->splittable());
-
-    auto seq = makeGenerator("philox", 777);
-    std::vector<std::int32_t> reference(4096);
-    ASSERT_TRUE(seq->fillFixed(reference.data(), reference.size(), fmt));
-
-    const std::pair<std::uint64_t, std::size_t> shards[] = {
-        {0, 1}, {1, 1}, {0, 4096}, {17, 333}, {500, 500},
-        {4095, 1}, {2048, 2048}, {3, 8}};
-    for (const auto &[offset, n] : shards) {
-        std::vector<std::int32_t> got(n, -999);
-        gen->fillFixedAt(offset, got.data(), n, fmt);
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(got[i], reference[offset + i])
-                << "offset=" << offset << " i=" << i;
-    }
-    // Random access left the sequential cursor untouched.
-    std::vector<std::int32_t> head(64);
-    ASSERT_TRUE(gen->fillFixed(head.data(), head.size(), fmt));
-    for (std::size_t i = 0; i < head.size(); ++i)
-        ASSERT_EQ(head[i], reference[i]) << "i=" << i;
-}
-
-TEST(Philox, SeekToRepositionsTheSequentialStream)
-{
-    const fixed::FixedPointFormat fmt{8, 5};
-    auto a = makeGenerator("philox", 55);
-    std::vector<std::int32_t> reference(1000);
-    ASSERT_TRUE(a->fillFixed(reference.data(), reference.size(), fmt));
-
-    auto b = makeGenerator("philox", 55);
-    b->seekTo(437);
-    std::vector<std::int32_t> tail(1000 - 437);
-    ASSERT_TRUE(b->fillFixed(tail.data(), tail.size(), fmt));
-    for (std::size_t i = 0; i < tail.size(); ++i)
-        ASSERT_EQ(tail[i], reference[437 + i]) << "i=" << i;
-}
-
 TEST(Philox, NextAndFillInterleavingsShareOneStream)
 {
-    // Phase-at-a-time next(), bulk fill() at every parity, and
-    // random-access fillFixedAt() all walk the same keyed stream; the
-    // pair cache must be invisible across any interleaving.
+    // Phase-at-a-time next(), bulk fill() at every parity, and the
+    // fused fillFixed() all walk the same keyed stream; the pair cache
+    // must be invisible across any interleaving.
     auto seq = makeGenerator("philox", 4242);
     std::vector<double> reference(512);
     seq->fill(reference.data(), reference.size());
@@ -464,25 +418,16 @@ TEST(Philox, NextAndFillInterleavingsShareOneStream)
             at += n;
         }
     }
-    // Random access through the same instance, then back to next().
+    // The fused path through the same instance, ending on a stranded
+    // phase, then back to next() at the odd phase after it.
     const fixed::FixedPointFormat fmt{8, 5};
     std::int32_t fixed_buf[33];
-    mixed->fillFixedAt(101, fixed_buf, 33, fmt);
+    ASSERT_TRUE(mixed->fillFixed(fixed_buf, 33, fmt));
     for (int i = 0; i < 33; ++i)
-        ASSERT_EQ(fixed_buf[i], fmt.fromReal(reference[101 + i]))
+        ASSERT_EQ(fixed_buf[i], fmt.fromReal(reference[at + i]))
             << "i=" << i;
+    at += 33;
     ASSERT_DOUBLE_EQ(mixed->next(), reference[at]);
-}
-
-TEST(Philox, StatefulGeneratorsRejectSplitApis)
-{
-    auto rlf = makeGenerator("rlf", 1);
-    EXPECT_FALSE(rlf->splittable());
-    EXPECT_DEATH(rlf->seekTo(10), "not splittable");
-    EXPECT_DEATH((void)rlf->streamPos(), "not splittable");
-    const fixed::FixedPointFormat fmt{8, 5};
-    std::int32_t buf[4];
-    EXPECT_DEATH(rlf->fillFixedAt(0, buf, 4, fmt), "not splittable");
 }
 
 TEST(FreshStreamKey, KeyedGeneratorsHonourTheContract)

@@ -258,8 +258,8 @@ TEST(SeedSensitivity, DifferentSeedsDifferentStreams)
  * The counter-based Philox generator is a *continuous* Gaussian source
  * (Box-Muller over 53-bit uniforms), so unlike the binomial designs it
  * must meet true-normal bounds: tight moments, a passing KS test, and
- * the exact N(0,1) tail mass. These are the properties the splittable
- * sharded-draw path leans on when it replaces the RLF ring.
+ * the exact N(0,1) tail mass. These are the properties serving and
+ * training lean on when Philox replaces the RLF ring.
  */
 TEST(PhiloxDistribution, MomentsTightForContinuousGaussian)
 {

@@ -690,14 +690,13 @@ TEST(KernelWallace, PassMatchesSequentialQuadsAcrossTiers)
     }
 }
 
-TEST(BatchedRunnerSharded, PhiloxShardedDrawMatchesSerial)
+TEST(BatchedRunnerPooled, PhiloxRoundsMatchUnpooled)
 {
-    // With a splittable generator the round's weight draw itself
-    // shards across the work pool via the counter-based random-access
-    // eps path; outputs must be bit-identical to the serial draw for
-    // any shard count, and the stream cursor must stay aligned across
-    // consecutive rounds (round 2 of the sharded run matches round 2
-    // of the serial run).
+    // A pooled runner shards each round's images across the work pool
+    // and draws the round's weights serially before it; outputs must
+    // be bit-identical to an unpooled runner for any pool size, and
+    // the stream must stay aligned across consecutive rounds (round 2
+    // of the pooled run matches round 2 of the unpooled run).
     const auto config = smallConfig();
     Rng rng(8);
     bnn::BayesianMlp net({24, 16, 4}, rng, /*rho_init=*/-2.0f);
@@ -722,17 +721,17 @@ TEST(BatchedRunnerSharded, PhiloxShardedDrawMatchesSerial)
     const auto serial = run_rounds(nullptr);
     for (const std::size_t workers : {1u, 4u}) {
         ThreadPool pool(workers);
-        const auto sharded = run_rounds(&pool);
-        EXPECT_EQ(sharded, serial) << "workers=" << workers;
+        const auto pooled = run_rounds(&pool);
+        EXPECT_EQ(pooled, serial) << "workers=" << workers;
     }
 }
 
-TEST(BatchedRunnerSharded, PhiloxShardedDrawMatchesSerialMidStream)
+TEST(BatchedRunnerPooled, PhiloxRoundsMatchUnpooledMidStream)
 {
-    // A generator handed over after it has drawn: the sharded draw
-    // must start at the generator's cursor, as the serial draw does,
-    // and leave the cursor past the round rather than rewinding it —
-    // whether the hand-over is the constructor or setGenerator().
+    // A generator handed over after it has drawn: a pooled runner must
+    // read the round from the generator's cursor, as an unpooled one
+    // does, and leave the cursor past the round rather than rewinding
+    // it — whether the hand-over is the constructor or setGenerator().
     const auto config = smallConfig();
     Rng rng(8);
     bnn::BayesianMlp net({24, 16, 4}, rng, /*rho_init=*/-2.0f);

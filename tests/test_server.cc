@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -79,6 +80,23 @@ startServer(const accel::AcceleratorConfig &config,
     std::string error;
     EXPECT_TRUE(server->start(error)) << error;
     return server;
+}
+
+/** Shard 0's in-flight request count once it reads `depth`, or what
+ *  it reads after 5 s: a client thread's request is admitted at an
+ *  unknown time after it starts, so a test waits on this, not on a
+ *  sleep. */
+std::size_t
+awaitQueueDepth(const Server &server, std::size_t depth)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::size_t seen = server.stats().shards.at(0).queueDepth;
+    while (seen != depth && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        seen = server.stats().shards.at(0).queueDepth;
+    }
+    return seen;
 }
 
 /** Reference in-process session, configured exactly like a shard. */
@@ -276,17 +294,19 @@ TEST(Server, OverloadIsRejectedExplicitly)
     const auto xs = randomBatch(1, dim, 3);
 
     Client holder;
+    Client prober;
     std::string error;
     ASSERT_TRUE(holder.connect("127.0.0.1", server->port(), error));
+    ASSERT_TRUE(prober.connect("127.0.0.1", server->port(), error));
     std::thread held([&] {
         // Occupies the shard's only slot for ~the whole budget.
         const auto reply = holder.classify(xs.data(), 1, dim);
         EXPECT_TRUE(reply.ok()) << reply.message;
     });
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    Client prober;
-    ASSERT_TRUE(prober.connect("127.0.0.1", server->port(), error));
+    // Probe only once the holder is admitted: a probe sent earlier
+    // takes the slot itself and the holder is the one rejected.
+    EXPECT_EQ(awaitQueueDepth(*server, 1), 1u);
     bool saw_reject = false;
     const auto probe_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -297,7 +317,11 @@ TEST(Server, OverloadIsRejectedExplicitly)
             saw_reject = true;
             break;
         }
-        ASSERT_TRUE(reply.ok()) << reply.message;
+        // A failure here ends the probe without leaving `held`
+        // unjoined.
+        EXPECT_TRUE(reply.ok()) << reply.message;
+        if (!reply.ok())
+            break;
     }
     held.join();
     EXPECT_TRUE(saw_reject)
@@ -467,6 +491,15 @@ TEST(Server, WrongGeometryIsABadRequestNotACrash)
 
     // The connection survives the rejection.
     const auto good = randomBatch(1, 24, 1);
+    EXPECT_TRUE(client.classify(good.data(), 1, 24).ok());
+
+    // An ensemble size past the cap is rejected at admission, before
+    // the session's fatal() check could see it.
+    Client::Options huge;
+    huge.mcSamples = kMaxEnsembleSize + 1;
+    const auto too_many = client.classify(good.data(), 1, 24, huge);
+    EXPECT_EQ(too_many.status, Client::Status::BadRequest);
+    EXPECT_FALSE(too_many.message.empty());
     EXPECT_TRUE(client.classify(good.data(), 1, 24).ok());
     server->stop();
 }
