@@ -227,10 +227,8 @@ BayesianConvNet::accumulateKl(BcnnWorkspace &ws, float prior_sigma,
         kl += convs_[i].klDivergence(prior_sigma);
         convs_[i].klBackward(prior_sigma, scale, ws.convGrads[i]);
     }
-    for (std::size_t i = 0; i < dense_.size(); ++i) {
-        kl += dense_[i].klDivergence(prior_sigma);
-        dense_[i].klBackward(prior_sigma, scale, ws.denseGrads[i]);
-    }
+    for (std::size_t i = 0; i < dense_.size(); ++i)
+        kl += dense_[i].klValueAndGrad(prior_sigma, scale, ws.denseGrads[i]);
     return kl;
 }
 

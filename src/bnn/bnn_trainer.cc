@@ -158,6 +158,7 @@ struct BnnBatchTrainer::Impl
         std::size_t in = 0, out = 0;
         // Derived from (mu, rho) by refreshParams().
         ak::AlignedVector<float> sigmaW, sigmaB;     // softplus(rho)
+        ak::AlignedVector<float> dSigmaW, dSigmaB;   // logistic(rho)
         ak::AlignedVector<float> sigmaSqW, sigmaSqB; // LRT variance GEMM
         // QAT raw planes (weight grid) + the dequantized bias.
         ak::AlignedVector<std::int32_t> rawMuW, rawSigmaW, rawMuB;
@@ -204,6 +205,8 @@ struct BnnBatchTrainer::Impl
             const std::size_t w = st.out * st.in;
             st.sigmaW.resize(w);
             st.sigmaB.resize(st.out);
+            st.dSigmaW.resize(w);
+            st.dSigmaB.resize(st.out);
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 st.sigmaSqW.resize(w);
                 st.sigmaSqB.resize(st.out);
@@ -297,10 +300,14 @@ struct BnnBatchTrainer::Impl
             const float *rhoW = ls[l].rhoWeight().data().data();
             const float *rhoB = ls[l].rhoBias().data();
             const std::size_t w = st.out * st.in;
-            for (std::size_t i = 0; i < w; ++i)
+            for (std::size_t i = 0; i < w; ++i) {
                 st.sigmaW[i] = VariationalDense::sigmaOf(rhoW[i]);
-            for (std::size_t i = 0; i < st.out; ++i)
+                st.dSigmaW[i] = nn::logistic(rhoW[i]);
+            }
+            for (std::size_t i = 0; i < st.out; ++i) {
                 st.sigmaB[i] = VariationalDense::sigmaOf(rhoB[i]);
+                st.dSigmaB[i] = nn::logistic(rhoB[i]);
+            }
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 for (std::size_t i = 0; i < w; ++i)
                     st.sigmaSqW[i] = st.sigmaW[i] * st.sigmaW[i];
@@ -544,8 +551,6 @@ struct BnnBatchTrainer::Impl
             VariationalGradients &g = grads[l];
             const float *x = inputOf(l);
             const std::size_t w = st.out * st.in;
-            const float *rhoW = layer.rhoWeight().data().data();
-            const float *rhoB = layer.rhoBias().data();
 
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 for (std::size_t t = 0; t < batch * st.out; ++t)
@@ -595,10 +600,10 @@ struct BnnBatchTrainer::Impl
                 float *grhoW = g.rhoWeight.data().data();
                 for (std::size_t i = 0; i < w; ++i)
                     grhoW[i] += st.gw[i] * 2.0f * st.sigmaW[i] *
-                        nn::logistic(rhoW[i]);
+                        st.dSigmaW[i];
                 for (std::size_t i = 0; i < st.out; ++i)
                     g.rhoBias[i] += st.gbScratch[i] * 2.0f *
-                        st.sigmaB[i] * nn::logistic(rhoB[i]);
+                        st.sigmaB[i] * st.dSigmaB[i];
 
                 if (l > 0) {
                     ak::GemmF32Args da;
@@ -669,14 +674,13 @@ struct BnnBatchTrainer::Impl
                     // Straight-through in QAT: the quantizers pass the
                     // gradient to the underlying mu/rho unchanged.
                     gmuW[i] += st.gw[i];
-                    grhoW[i] += st.gw[i] * st.epsW[i] *
-                        nn::logistic(rhoW[i]);
+                    grhoW[i] += st.gw[i] * st.epsW[i] * st.dSigmaW[i];
                 }
                 for (std::size_t i = 0; i < st.out; ++i) {
                     g.muBias[i] += st.gbScratch[i];
                     if (!cfg.quantizeAware)
                         g.rhoBias[i] += st.gbScratch[i] * st.epsB[i] *
-                            nn::logistic(rhoB[i]);
+                            st.dSigmaB[i];
                     // QAT: the datapath bias is deterministic (mu
                     // only), so rhoBias sees no data gradient.
                 }
@@ -764,9 +768,13 @@ BnnBatchTrainer::applyKlAndStep(std::size_t batch,
         static_cast<float>(dataset_size);
     double kl = 0.0;
     const auto &ls = im.net.layers();
-    for (std::size_t l = 0; l < ls.size(); ++l)
+    for (std::size_t l = 0; l < ls.size(); ++l) {
+        const Impl::Layer &st = im.layers[l];
         kl += ls[l].klValueAndGrad(im.cfg.priorSigma, kl_scale,
+                                   {st.sigmaW.data(), st.dSigmaW.data(),
+                                    st.sigmaB.data(), st.dSigmaB.data()},
                                    im.grads[l]);
+    }
 
     const float inv = 1.0f / static_cast<float>(batch);
     im.opt.beginStep();

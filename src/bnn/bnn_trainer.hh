@@ -165,9 +165,12 @@ class BnnBatchTrainer
     BnnBatchTrainer(BayesianMlp &net, const BnnBatchedTrainConfig &config);
     ~BnnBatchTrainer();
 
-    /** Recompute the derived parameter planes (sigma, sigma^2, QAT
-     *  raw tensors) from the net's current (mu, rho). Called by
-     *  applyKlAndStep; call manually after external param edits. */
+    /** Recompute the derived parameter planes (sigma, dsigma/drho,
+     *  sigma^2, QAT raw tensors) from the net's current (mu, rho).
+     *  forwardBackward, forwardLoss and the KL pass read these planes
+     *  and never evaluate softplus/logistic of rho themselves. Called
+     *  by the constructor and after applyKlAndStep's step; call
+     *  manually after external param edits. */
     void refreshParams();
 
     void zeroGrads();
@@ -186,9 +189,9 @@ class BnnBatchTrainer
                        const std::size_t *indices, std::size_t batch);
 
     /** Add the KL term (value returned, gradients scaled by
-     *  klWeight * batch / datasetSize), then step every layer's
-     *  storage in place (gradScale 1/batch) and refresh the derived
-     *  planes. */
+     *  klWeight * batch / datasetSize; sigma and dsigma/drho read from
+     *  the planes), then step every layer's storage in place
+     *  (gradScale 1/batch) and refresh the derived planes. */
     double applyKlAndStep(std::size_t batch, std::size_t dataset_size);
 
     /** Accumulated gradients (pre-KL until applyKlAndStep). */

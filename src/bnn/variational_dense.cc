@@ -8,6 +8,54 @@
 namespace vibnn::bnn
 {
 
+namespace
+{
+
+/**
+ * KL(N(mu, s^2) || N(0, p^2)) = ln(p/s) + (s^2 + mu^2) / (2 p^2) - 1/2,
+ * summed elementwise over a layer, and its gradient scaled by `scale`:
+ * dKL/dmu = mu / p^2, dKL/drho = (s / p^2 - 1 / s) * dsigma/drho.
+ */
+class KlSum
+{
+  public:
+    explicit KlSum(float prior_sigma, float scale = 0.0f)
+        : p2_(static_cast<double>(prior_sigma) * prior_sigma),
+          logP_(std::log(static_cast<double>(prior_sigma))),
+          invP2_(1.0f / (prior_sigma * prior_sigma)), scale_(scale)
+    {
+    }
+
+    /** Add one element's KL. */
+    void
+    add(float mu, float s)
+    {
+        kl_ += logP_ - std::log(static_cast<double>(s)) +
+            (static_cast<double>(s) * s + static_cast<double>(mu) * mu) /
+                (2.0 * p2_) -
+            0.5;
+    }
+
+    /** Add one element's KL and accumulate its gradient, given
+     *  ds = dsigma/drho. */
+    void
+    add(float mu, float s, float ds, float &gmu, float &grho)
+    {
+        add(mu, s);
+        gmu += scale_ * mu * invP2_;
+        grho += scale_ * (s * invP2_ - 1.0f / s) * ds;
+    }
+
+    double value() const { return kl_; }
+
+  private:
+    double p2_, logP_;
+    float invP2_, scale_;
+    double kl_ = 0.0;
+};
+
+} // namespace
+
 void
 VariationalGradients::resize(std::size_t out_dim, std::size_t in_dim)
 {
@@ -172,81 +220,48 @@ VariationalDense::lrtBackward(const float *x, const float *dy,
 double
 VariationalDense::klDivergence(float prior_sigma) const
 {
-    // KL(N(mu, s^2) || N(0, p^2)) =
-    //   ln(p/s) + (s^2 + mu^2) / (2 p^2) - 1/2, summed elementwise.
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
-    double kl = 0.0;
-
-    auto accumulate = [&](float mu, float rho) {
-        const double s = sigmaOf(rho);
-        kl += log_p - std::log(s) +
-            (s * s + static_cast<double>(mu) * mu) / (2.0 * p2) - 0.5;
-    };
-
+    KlSum sum(prior_sigma);
     const auto &mw = muWeight_.data();
     const auto &rw = rhoWeight_.data();
     for (std::size_t i = 0; i < mw.size(); ++i)
-        accumulate(mw[i], rw[i]);
+        sum.add(mw[i], sigmaOf(rw[i]));
     for (std::size_t i = 0; i < muBias_.size(); ++i)
-        accumulate(muBias_[i], rhoBias_[i]);
-    return kl;
-}
-
-void
-VariationalDense::klBackward(float prior_sigma, float scale,
-                             VariationalGradients &grads) const
-{
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
-
-    auto grad_pair = [&](float mu, float rho, float &gmu, float &grho) {
-        const float s = sigmaOf(rho);
-        // dKL/dmu = mu / p^2 ; dKL/dsigma = sigma/p^2 - 1/sigma.
-        gmu += scale * mu * inv_p2;
-        grho += scale * (s * inv_p2 - 1.0f / s) * nn::logistic(rho);
-    };
-
-    const auto &mw = muWeight_.data();
-    const auto &rw = rhoWeight_.data();
-    auto &gm = grads.muWeight.data();
-    auto &gr = grads.rhoWeight.data();
-    for (std::size_t i = 0; i < mw.size(); ++i)
-        grad_pair(mw[i], rw[i], gm[i], gr[i]);
-    for (std::size_t i = 0; i < muBias_.size(); ++i)
-        grad_pair(muBias_[i], rhoBias_[i], grads.muBias[i],
-                  grads.rhoBias[i]);
+        sum.add(muBias_[i], sigmaOf(rhoBias_[i]));
+    return sum.value();
 }
 
 double
 VariationalDense::klValueAndGrad(float prior_sigma, float scale,
                                  VariationalGradients &grads) const
 {
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
-    double kl = 0.0;
-
-    auto fused = [&](float mu, float rho, float &gmu, float &grho) {
-        const float s = sigmaOf(rho);
-        kl += log_p - std::log(static_cast<double>(s)) +
-            (static_cast<double>(s) * s +
-             static_cast<double>(mu) * mu) /
-                (2.0 * p2) -
-            0.5;
-        gmu += scale * mu * inv_p2;
-        grho += scale * (s * inv_p2 - 1.0f / s) * nn::logistic(rho);
-    };
-
+    KlSum sum(prior_sigma, scale);
     const auto &mw = muWeight_.data();
     const auto &rw = rhoWeight_.data();
     auto &gm = grads.muWeight.data();
     auto &gr = grads.rhoWeight.data();
     for (std::size_t i = 0; i < mw.size(); ++i)
-        fused(mw[i], rw[i], gm[i], gr[i]);
+        sum.add(mw[i], sigmaOf(rw[i]), nn::logistic(rw[i]), gm[i], gr[i]);
     for (std::size_t i = 0; i < muBias_.size(); ++i)
-        fused(muBias_[i], rhoBias_[i], grads.muBias[i],
-              grads.rhoBias[i]);
-    return kl;
+        sum.add(muBias_[i], sigmaOf(rhoBias_[i]), nn::logistic(rhoBias_[i]),
+                grads.muBias[i], grads.rhoBias[i]);
+    return sum.value();
+}
+
+double
+VariationalDense::klValueAndGrad(float prior_sigma, float scale,
+                                 const SigmaPlanes &planes,
+                                 VariationalGradients &grads) const
+{
+    KlSum sum(prior_sigma, scale);
+    const auto &mw = muWeight_.data();
+    auto &gm = grads.muWeight.data();
+    auto &gr = grads.rhoWeight.data();
+    for (std::size_t i = 0; i < mw.size(); ++i)
+        sum.add(mw[i], planes.sigmaW[i], planes.dSigmaW[i], gm[i], gr[i]);
+    for (std::size_t i = 0; i < muBias_.size(); ++i)
+        sum.add(muBias_[i], planes.sigmaB[i], planes.dSigmaB[i],
+                grads.muBias[i], grads.rhoBias[i]);
+    return sum.value();
 }
 
 } // namespace vibnn::bnn

@@ -45,6 +45,16 @@ struct VariationalGradients
     void zero();
 };
 
+/**
+ * sigma = softplus(rho) and dsigma/drho = logistic(rho) of every weight
+ * (row-major, like rhoWeight()) and bias of one layer, evaluated once
+ * per parameter update by the batched trainer.
+ */
+struct SigmaPlanes
+{
+    const float *sigmaW, *dSigmaW, *sigmaB, *dSigmaB;
+};
+
 /** Scratch for one sample's forward/backward through one layer. */
 struct VariationalScratch
 {
@@ -127,14 +137,17 @@ class VariationalDense
      */
     double klDivergence(float prior_sigma) const;
 
-    /** Accumulate d(KL)/d(params) scaled by `scale` into grads. */
-    void klBackward(float prior_sigma, float scale,
-                    VariationalGradients &grads) const;
-
-    /** Fused klDivergence + klBackward: one pass over the parameters
-     *  (softplus evaluated once per element instead of twice).
-     *  Bit-identical to calling the two separately. */
+    /** klDivergence, plus d(KL)/d(params) scaled by `scale`
+     *  accumulated into grads, in one pass over the parameters. The
+     *  returned value is bit-identical to klDivergence. */
     double klValueAndGrad(float prior_sigma, float scale,
+                          VariationalGradients &grads) const;
+
+    /** The same pass reading sigma and dsigma/drho from `planes`
+     *  instead of evaluating them; bit-identical to the overload above
+     *  while the planes hold softplus/logistic of the current rho. */
+    double klValueAndGrad(float prior_sigma, float scale,
+                          const SigmaPlanes &planes,
                           VariationalGradients &grads) const;
 
     /** sigma = softplus(rho). */

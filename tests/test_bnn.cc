@@ -225,7 +225,7 @@ TEST(VariationalDense, KlGradientMatchesNumerical)
     VariationalGradients grads;
     grads.resize(2, 2);
     grads.zero();
-    layer.klBackward(prior, 1.0f, grads);
+    layer.klValueAndGrad(prior, 1.0f, grads);
 
     const float h = 1e-3f;
     float &mu = layer.muWeight().at(1, 0);

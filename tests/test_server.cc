@@ -358,7 +358,9 @@ TEST(Server, DeadlineLicensedHoldMergesAcrossConnections)
         ASSERT_TRUE(c.connect("127.0.0.1", server->port(), error));
         reply_a = c.classify(xs_a.data(), 1, dim);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    // The second client starts only once the first request is held: a
+    // fixed sleep lets a slow admission miss the hold window.
+    EXPECT_EQ(awaitQueueDepth(*server, 1), 1u);
     std::thread tb([&] {
         Client c;
         std::string error;

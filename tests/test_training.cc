@@ -4,11 +4,12 @@
  * finite-difference gradient checks of the minibatch backward for both
  * estimators, trajectory parity of the batched engine at batch size 1
  * against the per-sample reference trainer, bit-identity of batched
- * training across thread counts and kernel tiers, the in-place
- * segmented Adam step against the historical gather/step/scatter
- * reference, pool-invariance of the parallel evaluator, and the
- * quantization-aware fine-tuning accuracy pin against post-hoc
- * quantization on the compiled accelerator program.
+ * training across thread counts and kernel tiers, the trainer's cached
+ * per-step parameter planes against a freshly built trainer at every
+ * step, the in-place segmented Adam step against the historical
+ * gather/step/scatter reference, pool-invariance of the parallel
+ * evaluator, and the quantization-aware fine-tuning accuracy pin
+ * against post-hoc quantization on the compiled accelerator program.
  */
 
 #include <gtest/gtest.h>
@@ -284,6 +285,68 @@ TEST(BatchedTrainer, BitIdenticalAcrossKernelTiers)
         for (const k::KernelOps *ops : k::availableKernels())
             EXPECT_TRUE(bitsEqual(run(ops, estimator), ref))
                 << ops->name;
+    }
+}
+
+TEST(BatchedTrainer, CachedPlanesMatchAFreshTrainerAtEveryStep)
+{
+    // The trainer reads sigma, sigma^2 and dsigma/drho from planes it
+    // refreshes after each step. At every step of a long-lived trainer
+    // its gradients and KL must equal, bit for bit, those of a trainer
+    // freshly built on a copy of the current parameters and fed the
+    // same eps.
+    const auto blobs = makeBlobs(24, 7, 3, 131);
+    const auto data = blobs.view();
+    std::vector<std::size_t> order(data.count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    constexpr std::size_t kBatch = 6;
+
+    auto gradsEqual = [](const std::vector<bnn::VariationalGradients> &a,
+                         const std::vector<bnn::VariationalGradients> &b) {
+        if (a.size() != b.size())
+            return false;
+        for (std::size_t l = 0; l < a.size(); ++l) {
+            if (!bitsEqual(a[l].muWeight.data(), b[l].muWeight.data()) ||
+                !bitsEqual(a[l].rhoWeight.data(), b[l].rhoWeight.data()) ||
+                !bitsEqual(a[l].muBias, b[l].muBias) ||
+                !bitsEqual(a[l].rhoBias, b[l].rhoBias))
+                return false;
+        }
+        return true;
+    };
+
+    for (const auto estimator : {bnn::BnnEstimator::LocalReparam,
+                                 bnn::BnnEstimator::DirectWeightSample}) {
+        Rng init(83);
+        bnn::BayesianMlp net({7, 9, 3}, init, -2.0f);
+        bnn::BnnBatchedTrainConfig cfg;
+        cfg.estimator = estimator;
+        cfg.seed = 89;
+        bnn::BnnBatchTrainer engine(net, cfg);
+        Rng eps(97);
+
+        for (std::size_t step = 0; step < data.count / kBatch; ++step) {
+            const std::size_t *idx = order.data() + step * kBatch;
+            bnn::BayesianMlp fresh_net = net;
+            bnn::BnnBatchTrainer fresh(fresh_net, cfg);
+            Rng fresh_eps = eps;
+
+            engine.zeroGrads();
+            fresh.zeroGrads();
+            const double loss =
+                engine.forwardBackward(data, idx, kBatch, &eps);
+            EXPECT_EQ(loss,
+                      fresh.forwardBackward(data, idx, kBatch, &fresh_eps))
+                << "step " << step;
+            EXPECT_TRUE(gradsEqual(engine.gradients(), fresh.gradients()))
+                << "forwardBackward, step " << step;
+
+            const double kl = engine.applyKlAndStep(kBatch, data.count);
+            EXPECT_EQ(kl, fresh.applyKlAndStep(kBatch, data.count))
+                << "step " << step;
+            EXPECT_TRUE(gradsEqual(engine.gradients(), fresh.gradients()))
+                << "applyKlAndStep, step " << step;
+        }
     }
 }
 
