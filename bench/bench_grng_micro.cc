@@ -91,7 +91,7 @@ main()
                   "Per-generator sample cost and per-tier throughput "
                   "of the kernel-layer eps paths");
     std::printf("dispatch-selected tier: %s "
-                "(VIBNN_FORCE_SCALAR / VIBNN_KERNELS override)\n\n",
+                "(VIBNN_KERNELS=<tier> overrides)\n\n",
                 k::activeKernelName());
 
     bench::JsonReport report;

@@ -66,7 +66,7 @@ main()
                   "Per-tier throughput of the batched-path hot loops "
                   "(GEMM, fused weight sampling, eps conversion)");
     std::printf("dispatch-selected tier: %s "
-                "(VIBNN_FORCE_SCALAR / VIBNN_KERNELS override)\n\n",
+                "(VIBNN_KERNELS=<tier> overrides)\n\n",
                 k::activeKernelName());
 
     // The MNIST throughput shape: 200 neurons x 784 inputs over a

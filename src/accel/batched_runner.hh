@@ -83,6 +83,11 @@
 #include "accel/program.hh"
 #include "accel/weight_generator.hh"
 
+namespace vibnn
+{
+class ThreadPool;
+}
+
 namespace vibnn::accel
 {
 
@@ -117,39 +122,38 @@ class BatchedRunner : public Executor
     /** Return `bytes` taken by reserveDrawCache. */
     static void releaseDrawCache(std::size_t bytes);
 
-    /** Untimed; true batched weight reuse. */
-    ExecutorCaps
-    caps() const override
-    {
-        return {/*batchedRounds=*/true};
-    }
-
     /** One forward pass == a one-image round (the weight sample is
      *  still shared across conv positions — this backend's sampling
      *  semantics, not the canonical per-position order). */
     std::vector<std::int64_t> runPass(const float *x) override;
 
-    /** One MC round: one weight sample per compute op, reused across
-     *  all `count` images (and across conv positions). */
+    /** One MC round over a batch: `count` images of `stride` floats
+     *  each, row-major; `out` receives count * outputDim raw values.
+     *  One weight sample per compute op, reused across all `count`
+     *  images (and across conv positions). */
     void runRoundBatch(const float *xs, std::size_t count,
-                       std::size_t stride, std::int64_t *out) override;
+                       std::size_t stride, std::int64_t *out);
 
-    /** Active-subset round (adaptive early-exit compaction): the
-     *  gather folds into input quantization — image slot b quantizes
-     *  source row indices[b] directly — so no float-row staging copy.
-     *  The weight draw and per-image arithmetic are those of
-     *  runRoundBatch exactly. */
+    /** One MC round over an active subset of a batch (adaptive
+     *  early-exit compaction): image i of the round is row indices[i]
+     *  of `xs`, and `out` receives count * outputDim raw values in
+     *  index order. Retired images simply stop appearing in `indices`,
+     *  so they no longer occupy GEMM tiles. The gather folds into
+     *  input quantization — no float-row staging copy — and the weight
+     *  draw and per-image arithmetic are those of runRoundBatch
+     *  exactly, so each selected image's output is bit-identical to
+     *  its row of a round over any superset. */
     void runRoundBatchGather(const float *xs, std::size_t stride,
                              const std::uint32_t *indices,
-                             std::size_t count,
-                             std::int64_t *out) override;
+                             std::size_t count, std::int64_t *out);
 
-    /** Swap the eps source (round scheduling). Not owned. */
+    /** Swap the eps source (per-round scheduling). Not owned. */
     void setGenerator(grng::GaussianGenerator *generator) override;
 
     /** Intra-pass image-dimension parallelism (see file comment).
-     *  Not owned; nullptr (the default) runs rounds serially. */
-    void setWorkPool(ThreadPool *pool) override;
+     *  Not owned; nullptr (the default) runs rounds serially. Results
+     *  are bit-identical with any pool or none. */
+    void setWorkPool(ThreadPool *pool);
 
     /** Pass/sample counters only (untimed backend). */
     const CycleStats &stats() const override { return stats_; }

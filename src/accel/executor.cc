@@ -1,7 +1,5 @@
 #include "accel/executor.hh"
 
-#include <algorithm>
-
 #include "accel/batched_runner.hh"
 #include "accel/functional.hh"
 #include "accel/simulator.hh"
@@ -46,39 +44,6 @@ CycleStats::operator+=(const CycleStats &other)
     macs += other.macs;
     images += other.images;
     return *this;
-}
-
-void
-Executor::runRoundBatch(const float *xs, std::size_t count,
-                        std::size_t stride, std::int64_t *out)
-{
-    // Per-pass fallback: one fresh-sample pass per image of the round.
-    // Correct on every backend (the round then simply contains B
-    // independent weight draws instead of one shared one); backends
-    // with caps().batchedRounds override this with true weight reuse.
-    const std::size_t out_dim = program().outputDim();
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto raw = runPass(xs + i * stride);
-        std::copy(raw.begin(), raw.end(), out + i * out_dim);
-    }
-}
-
-void
-Executor::runRoundBatchGather(const float *xs, std::size_t stride,
-                              const std::uint32_t *indices,
-                              std::size_t count, std::int64_t *out)
-{
-    // Gather-to-scratch fallback: stage the selected rows contiguously
-    // and run a plain round over them. Backends with their own input
-    // staging (the batched runner quantizes per image anyway) override
-    // this to fold the gather into that step and skip the copy.
-    std::vector<float> gathered(count * stride);
-    for (std::size_t i = 0; i < count; ++i)
-        std::copy(xs + indices[i] * stride,
-                  xs + indices[i] * stride + stride,
-                  gathered.begin() +
-                      static_cast<std::ptrdiff_t>(i * stride));
-    runRoundBatch(gathered.data(), count, stride, out);
 }
 
 std::size_t
@@ -139,14 +104,12 @@ makeBorrowing(const QuantizedProgram &program,
     return std::make_unique<Backend>(program, config, generator);
 }
 
-/** The one registry row per backend — id, flags, both construction
+/** The one registry row per backend — id and both construction
  *  styles. Every public registry function derives from this table, so
- *  a new backend is exactly one added row (plus its caps() staying in
- *  sync with the flags here, which the registry ctest pins). */
+ *  a new backend is exactly one added row. */
 struct BackendEntry
 {
     const char *id;
-    ExecutorCaps caps;
     std::unique_ptr<Executor> (*make)(const QuantizedProgram &,
                                       const AcceleratorConfig &,
                                       grng::GaussianGenerator *);
@@ -156,12 +119,10 @@ struct BackendEntry
 };
 
 const BackendEntry kBackends[] = {
-    {"simulator", {/*batchedRounds=*/false},
-     &makeBorrowing<Simulator>, &makeOwning<Simulator>},
-    {"functional", {/*batchedRounds=*/false},
-     &makeBorrowing<FunctionalRunner>, &makeOwning<FunctionalRunner>},
-    {"batched", {/*batchedRounds=*/true},
-     &makeBorrowing<BatchedRunner>, &makeOwning<BatchedRunner>},
+    {"simulator", &makeBorrowing<Simulator>, &makeOwning<Simulator>},
+    {"functional", &makeBorrowing<FunctionalRunner>,
+     &makeOwning<FunctionalRunner>},
+    {"batched", &makeBorrowing<BatchedRunner>, &makeOwning<BatchedRunner>},
 };
 
 /** The entry for `id`, or fatal() with the registered ids listed. */
@@ -202,12 +163,6 @@ registeredExecutorIds()
     for (const auto &entry : kBackends)
         ids.emplace_back(entry.id);
     return ids;
-}
-
-ExecutorCaps
-executorCaps(const std::string &id)
-{
-    return findBackend(id).caps;
 }
 
 } // namespace vibnn::accel

@@ -36,17 +36,10 @@ class FunctionalRunner : public Executor
                      const AcceleratorConfig &config,
                      grng::GaussianGenerator *generator);
 
-    /** Untimed; per-pass fresh weight samples. */
-    ExecutorCaps
-    caps() const override
-    {
-        return {/*batchedRounds=*/false};
-    }
-
     /** One forward pass; raw outputs on the activation grid. */
     std::vector<std::int64_t> runPass(const float *x) override;
 
-    /** Swap the eps source (round/unit scheduling). Not owned. */
+    /** Swap the eps source (per-unit scheduling). Not owned. */
     void setGenerator(grng::GaussianGenerator *generator) override;
 
     /** Pass/sample counters only: this backend has no timing model,

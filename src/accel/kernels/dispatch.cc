@@ -3,10 +3,10 @@
  * Runtime kernel-tier dispatch. The decision is made once per process,
  * in order:
  *
- *   1. VIBNN_FORCE_SCALAR=1           -> the scalar reference tier
- *   2. VIBNN_KERNELS=<name>           -> that tier, fatal() if it is
+ *   1. VIBNN_KERNELS=<name>           -> that tier, fatal() if it is
  *                                        not compiled in / supported
- *   3. widest tier the CPU supports   -> avx2 > sse4 > scalar
+ *                                        (scalar always is)
+ *   2. widest tier the CPU supports   -> avx2 > sse4 > scalar
  *
  * Because every tier is ctest-pinned bit-exact against the scalar
  * reference, the choice is invisible in program output — it only moves
@@ -68,8 +68,6 @@ const KernelOps &
 pickKernels()
 {
     const auto tiers = probeKernels();
-    if (envInt("VIBNN_FORCE_SCALAR", 0) != 0)
-        return scalarKernels();
     const std::string requested = envString("VIBNN_KERNELS", "");
     if (!requested.empty()) {
         for (const auto *tier : tiers) {

@@ -19,9 +19,9 @@
  *             fast path when the operand formats allow it.
  *
  * activeKernels() picks the widest tier the running CPU supports once
- * per process; VIBNN_FORCE_SCALAR=1 pins the scalar tier and
- * VIBNN_KERNELS=<name> selects one explicitly (fatal if that tier is
- * not available on this CPU/build). Tests iterate availableKernels()
+ * per process; VIBNN_KERNELS=<name> selects one explicitly (fatal if
+ * that tier is not available on this CPU/build; VIBNN_KERNELS=scalar
+ * pins the reference). Tests iterate availableKernels()
  * and assert bit-exactness of every tier against scalarKernels() —
  * including saturation and odd-size tail lanes — so the dispatch
  * decision is a pure performance choice, never a semantic one
@@ -364,8 +364,7 @@ gemmFinish(std::int64_t acc, std::int64_t bias_raw, const GemmFinish &f)
 const KernelOps &scalarKernels();
 
 /** The tier activeKernels() selected for this process (sticky: the
- *  first call reads VIBNN_FORCE_SCALAR / VIBNN_KERNELS and probes the
- *  CPU once). */
+ *  first call reads VIBNN_KERNELS and probes the CPU once). */
 const KernelOps &activeKernels();
 
 /** Name of the active tier ("scalar", "sse4", "avx2"). */

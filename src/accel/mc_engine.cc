@@ -4,6 +4,7 @@
 #include <chrono>
 #include <numeric>
 
+#include "accel/batched_runner.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "grng/registry.hh"
@@ -14,10 +15,18 @@ namespace vibnn::accel
 McEngine::McEngine(const QuantizedProgram &program,
                    const AcceleratorConfig &config,
                    const McEngineConfig &mc)
-    : program_(program), config_(config), mc_(mc)
+    : program_(program), config_(config), mc_(mc),
+      rounds_(mc.backendId == "batched")
 {
     validateProgram(program_, config_);
     VIBNN_ASSERT(config_.mcSamples >= 1, "need at least one MC sample");
+    // The backend fixes the unit: rounds mean weight reuse, which only
+    // the batched runner has.
+    if (rounds_ != (mc_.schedule == McSchedule::PerRound))
+        fatal("McEngine: backend '" + mc_.backendId + "' runs " +
+              (rounds_ ? "per-round" : "per-unit (image, sample)") +
+              " work units, but McEngineConfig::schedule says " +
+              (rounds_ ? "PerUnit" : "PerRound"));
 
     // threads == 0 borrows the global pool, first touched by a
     // fan-out: constructing such an engine (every session builds one)
@@ -68,9 +77,16 @@ McEngine::ensureReplicas(std::size_t n)
         // Placeholder stream; every unit swaps in its own before use.
         replica.generator =
             grng::makeGenerator(mc_.generatorId, mc_.seedBase);
-        replica.executor =
-            makeExecutor(mc_.backendId, program_, config_,
-                         replica.generator.get());
+        if (rounds_) {
+            auto runner = std::make_unique<BatchedRunner>(
+                program_, config_, replica.generator.get());
+            replica.runner = runner.get();
+            replica.executor = std::move(runner);
+        } else {
+            replica.executor =
+                makeExecutor(mc_.backendId, program_, config_,
+                             replica.generator.get());
+        }
         replicas_.push_back(std::move(replica));
     }
 }
@@ -87,32 +103,32 @@ McEngine::fanOut(std::size_t units, const SeedOf &seed_of,
     ensureReplicas(replica_count);
 
     // Oversubscription guard: when unit-level scheduling fans the
-    // units over the pool (replica_count > 1), backends must not also
+    // units over the pool (replica_count > 1), runners must not also
     // fan the image dimension over the same workers. With a single
-    // replica the units run serially, so the pool is free — hand it to
-    // the backend for intra-pass (image-dim) parallelism; weights are
-    // frozen per round, so results stay bit-identical either way.
+    // replica the rounds run serially, so the pool is free — hand it
+    // to the runner for intra-pass (image-dim) parallelism; weights
+    // are frozen per round, so results stay bit-identical either way.
     ThreadPool *pool =
         mc_.threads == 0 ? &ThreadPool::global() : ownPool_.get();
     const bool unit_level = pool != nullptr && replica_count > 1;
-    for (auto &replica : replicas_)
-        replica.executor->setWorkPool(unit_level ? nullptr : pool);
+    if (rounds_)
+        for (auto &replica : replicas_)
+            replica.runner->setWorkPool(unit_level ? nullptr : pool);
 
     // Static unit assignment: replica r owns units r, r+R, r+2R, ...
     // Outputs depend only on the unit (seeded stream + pure pass), so
     // the partition is a performance choice, not a semantic one.
     auto run_replica = [&](std::size_t r) {
         Replica &replica = replicas_[r];
-        Executor &executor = *replica.executor;
         for (std::size_t u = r; u < units; u += replica_count) {
             // The one stream switch: a generator constructed on the
             // unit's seed. The replica keeps it until its next unit,
             // so the executor never reads a freed stream.
             auto generator =
                 grng::makeGenerator(mc_.generatorId, seed_of(u));
-            executor.setGenerator(generator.get());
+            replica.executor->setGenerator(generator.get());
             replica.generator = std::move(generator);
-            body(executor, u);
+            body(replica, u);
         }
     };
 
@@ -126,7 +142,7 @@ McEngine::fanOut(std::size_t units, const SeedOf &seed_of,
 void
 McEngine::runRoundRange(const float *xs, std::size_t stride,
                         const std::uint32_t *indices, std::size_t count,
-                        int r_begin, int r_end, bool per_unit,
+                        int r_begin, int r_end,
                         std::vector<std::int64_t> &raw)
 {
     const std::size_t out_dim = program_.outputDim();
@@ -136,7 +152,7 @@ McEngine::runRoundRange(const float *xs, std::size_t stride,
         return static_cast<std::uint64_t>(r_begin) + r;
     };
 
-    if (per_unit) {
+    if (!rounds_) {
         // Unit u is (image a, round r) in image-major order; its pass
         // lands in the round-major slot the reduction reads.
         fanOut(count * rounds,
@@ -144,11 +160,11 @@ McEngine::runRoundRange(const float *xs, std::size_t stride,
                    return streamSeed(mc_.seedBase, indices[u / rounds],
                                      global_round(u % rounds));
                },
-               [&](Executor &executor, std::size_t u) {
+               [&](Replica &replica, std::size_t u) {
                    const std::size_t a = u / rounds;
                    const std::size_t r = u % rounds;
                    const auto pass =
-                       executor.runPass(xs + indices[a] * stride);
+                       replica.executor->runPass(xs + indices[a] * stride);
                    std::copy(pass.begin(), pass.end(),
                              raw.data() + (r * count + a) * out_dim);
                });
@@ -163,8 +179,8 @@ McEngine::runRoundRange(const float *xs, std::size_t stride,
            [&](std::size_t u) {
                return roundSeed(mc_.seedBase, global_round(u));
            },
-           [&](Executor &executor, std::size_t u) {
-               executor.runRoundBatchGather(
+           [&](Replica &replica, std::size_t u) {
+               replica.runner->runRoundBatchGather(
                    xs, stride, indices, count,
                    raw.data() + u * count * out_dim);
            });
@@ -193,22 +209,17 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
     if (count == 0)
         return result;
 
-    // The sequential per-image fallback stream of non-batched backends
-    // makes image i's eps depend on how many images precede it in the
-    // round — batch-composition-dependent, which adaptive compaction
-    // would expose. Only the weight-reuse path has the per-image
-    // independence the determinism contract needs.
-    if (options.enabled && !executorCaps(mc_.backendId).batchedRounds)
+    // Early exit checkpoints between rounds of the weight-reuse path;
+    // the per-pass backends serve fixed-T ensembles only.
+    if (options.enabled && !rounds_)
         fatal("adaptive early-exit MC requires a batched-rounds "
               "backend (got '" + mc_.backendId + "')");
 
     // Early exit off: the whole budget is one increment, so neither
     // the convergence checkpoint nor the deadline below is ever
-    // reached, and PerUnit engines keep their (image, sample) units.
+    // reached.
     const int chunk = options.enabled ? std::max(options.chunk, 1)
                                       : budget;
-    const bool per_unit =
-        !options.enabled && mc_.schedule == McSchedule::PerUnit;
     std::vector<stats::SequentialPosteriorTest> tests(count);
     for (auto &test : tests)
         test.reset(out_dim);
@@ -224,7 +235,7 @@ McEngine::classifyBatchAdaptive(const float *xs, std::size_t count,
     while (done < budget && !active.empty()) {
         const int next = std::min(done + chunk, budget);
         runRoundRange(xs, stride, active.data(), active.size(), done,
-                      next, per_unit, raw);
+                      next, raw);
 
         // Serial per-image accumulation in global round order: every
         // image's running statistics are a pure function of its own

@@ -8,28 +8,29 @@
  * image's per-sample softmaxes are accumulated in double precision in
  * sample order by its own stats::SequentialPosteriorTest. Fixed-T
  * classification is that loop with early exit off — the whole budget
- * as one increment over every image. Rounds fan out over ThreadPool
- * workers, each owning a full executor backend replica (any id
- * registered with accel::makeExecutor), at one of two granularities:
+ * as one increment over every image. Work units fan out over
+ * ThreadPool workers, each owning a full executor backend replica
+ * (any id registered with accel::makeExecutor). The backend fixes the
+ * unit:
  *
- *  - PerUnit (fidelity): the work unit is one (image, MC sample) pass.
- *    Every unit draws fresh weights — the paper's per-pass sampling
- *    contract — and runs with a generator freshly seeded from
- *    streamSeed(seedBase, i, s).
- *  - PerRound (throughput): the work unit is one MC round over the
- *    WHOLE active set, seeded from roundSeed(seedBase, r). On a backend
- *    with caps().batchedRounds (the "batched" weight-reuse path) one
- *    weight sample per compute op serves every image of the round, so
- *    the batch costs T rounds instead of T x B passes. When only one
- *    replica runs (rounds execute serially), the engine instead hands
- *    the pool to the backend via Executor::setWorkPool so it can
- *    parallelize the image dimension inside each round; with multiple
- *    replicas the grant is revoked — round-level scheduling owns the
- *    workers, and intra-pass fan-out underneath it would oversubscribe
- *    them.
+ *  - PerUnit ("simulator", "functional"): the work unit is one
+ *    (image, MC sample) pass. Every unit draws fresh weights — the
+ *    paper's per-pass sampling contract — and runs with a generator
+ *    freshly seeded from streamSeed(seedBase, i, s).
+ *  - PerRound ("batched"): the work unit is one MC round over the
+ *    WHOLE active set, seeded from roundSeed(seedBase, r), run through
+ *    BatchedRunner's round API: one weight sample per compute op
+ *    serves every image of the round, so the batch costs T rounds
+ *    instead of T x B passes. When only one replica runs (rounds
+ *    execute serially), the engine instead hands the pool to the
+ *    runner (BatchedRunner::setWorkPool) so it can parallelize the
+ *    image dimension inside each round; with multiple replicas the
+ *    grant is revoked — round-level scheduling owns the workers, and
+ *    intra-pass fan-out underneath it would oversubscribe them.
  *
- * Early exit always runs PerRound (it needs caps().batchedRounds);
- * with it off, PerUnit engines keep their (image, sample) units.
+ * McEngineConfig::schedule must name the backend's unit; the
+ * constructor fatal()s on any other pairing. Early exit needs rounds,
+ * so it runs on "batched" only.
  *
  * Determinism is by construction schedule-independent in both modes:
  * a unit's output is a pure function of (input(s), seeded eps stream),
@@ -57,14 +58,18 @@
 namespace vibnn::accel
 {
 
-/** Work-unit granularity for the Monte-Carlo fan-out. */
+class BatchedRunner;
+
+/** Work-unit granularity for the Monte-Carlo fan-out. The backend
+ *  fixes it; the config states it so a mismatch fails loudly. */
 enum class McSchedule
 {
     /** One (image, MC sample) pass per unit — fresh weight samples
-     *  every pass (the paper's fidelity semantics). */
+     *  every pass (the paper's fidelity semantics): "simulator" and
+     *  "functional". */
     PerUnit,
     /** One MC round over the whole batch per unit — one weight draw
-     *  per compute op per round on weight-reuse backends. */
+     *  per compute op per round: "batched". */
     PerRound,
 };
 
@@ -83,7 +88,8 @@ struct McEngineConfig
     std::uint64_t seedBase = 1;
     /** Executor backend registry id the replicas run on. */
     std::string backendId = "simulator";
-    /** Fan-out granularity. */
+    /** Fan-out granularity: must be the backend's (PerRound exactly
+     *  for "batched"); the engine fatal()s otherwise. */
     McSchedule schedule = McSchedule::PerUnit;
 };
 
@@ -171,8 +177,8 @@ class McEngine
      * more rounds cannot change the decision — the easy images finish
      * after minSamples rounds while the hard ones run to the budget.
      * Retired images leave the round via active-set compaction
-     * (Executor::runRoundBatchGather), so they stop occupying GEMM
-     * tiles immediately. With options.enabled == false the whole
+     * (BatchedRunner::runRoundBatchGather), so they stop occupying
+     * GEMM tiles immediately. With options.enabled == false the whole
      * budget runs as one increment over every image: fixed-T
      * classification, on either schedule.
      *
@@ -185,9 +191,8 @@ class McEngine
      * reductions in sample order. Results are therefore bit-identical
      * across thread counts AND batch compositions (ctest-pinned).
      *
-     * Early exit requires a backend with caps().batchedRounds (the
-     * sequential per-image fallback stream would make per-image outputs
-     * depend on batch composition); fatal() otherwise. With
+     * Early exit runs on the "batched" backend only (the per-pass
+     * backends serve fixed-T ensembles); fatal() otherwise. With
      * keep_sample_probs false the count x budget x outputDim buffer is
      * never materialized (sampleProbs stays empty) — for large
      * prediction-only batches.
@@ -215,6 +220,8 @@ class McEngine
 
     const AcceleratorConfig &config() const { return config_; }
     const QuantizedProgram &program() const { return program_; }
+    /** The executor backend registry id the replicas run on. */
+    const std::string &backendId() const { return mc_.backendId; }
 
     /**
      * Seed of the eps stream for (image, sample) under `seed_base` —
@@ -238,6 +245,9 @@ class McEngine
          *  unit's generator, replaced by fanOut at every unit. */
         std::unique_ptr<grng::GaussianGenerator> generator;
         std::unique_ptr<Executor> executor;
+        /** `executor` as the owner of the round API; null unless the
+         *  engine runs rounds. */
+        BatchedRunner *runner = nullptr;
     };
 
     /** Ensure replicas [0, n) exist. */
@@ -245,7 +255,7 @@ class McEngine
 
     /**
      * The one parallel fan-out: run work units [0, units), unit u as
-     * body(executor, u) on a replica whose executor reads the eps
+     * body(replica, u) on a replica whose executor reads the eps
      * stream seeded seed_of(u). Partitioning is replica-static; a
      * unit's output depends only on its seeded stream and its inputs,
      * so the schedule is invisible in the output.
@@ -257,22 +267,26 @@ class McEngine
     /**
      * Run global MC rounds [r_begin, r_end) over the active subset
      * `indices[0..count)` of the batch. `raw` is resized to
-     * (r_end - r_begin) x count x outputDim, round-major. With
-     * `per_unit` every (image, round) pass is its own work unit,
-     * seeded streamSeed(seedBase, indices[a], r); otherwise a unit is
-     * one gather round seeded roundSeed(seedBase, r). Either way the
-     * seed carries the GLOBAL round index, so the stream any surviving
-     * image sees is independent of chunking and of which images
-     * remain.
+     * (r_end - r_begin) x count x outputDim, round-major. On a
+     * per-unit backend every (image, round) pass is its own work unit,
+     * seeded streamSeed(seedBase, indices[a], r); on "batched" a unit
+     * is one gather round seeded roundSeed(seedBase, r). Either way
+     * the seed carries the GLOBAL round index, so the stream any
+     * surviving image sees is independent of chunking and of which
+     * images remain.
      */
     void runRoundRange(const float *xs, std::size_t stride,
                        const std::uint32_t *indices, std::size_t count,
-                       int r_begin, int r_end, bool per_unit,
+                       int r_begin, int r_end,
                        std::vector<std::int64_t> &raw);
 
     QuantizedProgram program_;
     AcceleratorConfig config_;
     McEngineConfig mc_;
+    /** The work unit is a round on a BatchedRunner (the "batched"
+     *  backend), else one (image, sample) pass. Fixed at
+     *  construction. */
+    bool rounds_;
     /** Private pool when an explicit thread count was requested. */
     std::unique_ptr<ThreadPool> ownPool_;
     std::vector<Replica> replicas_;

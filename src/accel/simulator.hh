@@ -74,14 +74,6 @@ class Simulator : public Executor
               const AcceleratorConfig &config,
               grng::GaussianGenerator *generator);
 
-    /** Cycle-accurate; per-pass fresh weight samples (no batched
-     *  weight reuse). */
-    ExecutorCaps
-    caps() const override
-    {
-        return {/*batchedRounds=*/false};
-    }
-
     /**
      * Run one forward pass (one MC sample) for an image given as real
      * features; returns raw output-layer values on the activation grid.

@@ -223,10 +223,8 @@ BayesianConvNet::accumulateKl(BcnnWorkspace &ws, float prior_sigma,
                               float scale) const
 {
     double kl = 0.0;
-    for (std::size_t i = 0; i < convs_.size(); ++i) {
-        kl += convs_[i].klDivergence(prior_sigma);
-        convs_[i].klBackward(prior_sigma, scale, ws.convGrads[i]);
-    }
+    for (std::size_t i = 0; i < convs_.size(); ++i)
+        kl += convs_[i].klValueAndGrad(prior_sigma, scale, ws.convGrads[i]);
     for (std::size_t i = 0; i < dense_.size(); ++i)
         kl += dense_[i].klValueAndGrad(prior_sigma, scale, ws.denseGrads[i]);
     return kl;

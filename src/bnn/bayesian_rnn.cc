@@ -206,12 +206,13 @@ double
 BayesianRnn::accumulateKl(BrnnWorkspace &ws, float prior_sigma,
                           float scale) const
 {
-    wx_.klBackward(prior_sigma, scale, ws.gMuWx, ws.gRhoWx);
-    wh_.klBackward(prior_sigma, scale, ws.gMuWh, ws.gRhoWh);
-    wy_.klBackward(prior_sigma, scale, ws.gMuWy, ws.gRhoWy);
-    bh_.klBackward(prior_sigma, scale, ws.gMuBh, ws.gRhoBh);
-    by_.klBackward(prior_sigma, scale, ws.gMuBy, ws.gRhoBy);
-    return klDivergence(prior_sigma);
+    // Summed in klDivergence's order.
+    double kl = wx_.klValueAndGrad(prior_sigma, scale, ws.gMuWx, ws.gRhoWx);
+    kl += wh_.klValueAndGrad(prior_sigma, scale, ws.gMuWh, ws.gRhoWh);
+    kl += wy_.klValueAndGrad(prior_sigma, scale, ws.gMuWy, ws.gRhoWy);
+    kl += bh_.klValueAndGrad(prior_sigma, scale, ws.gMuBh, ws.gRhoBh);
+    kl += by_.klValueAndGrad(prior_sigma, scale, ws.gMuBy, ws.gRhoBy);
+    return kl;
 }
 
 std::size_t

@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "bnn/kl_sum.hh"
 #include "nn/activations.hh"
 
 namespace vibnn::bnn
@@ -251,46 +252,31 @@ VariationalConv2d::lrtBackward(const float *dy,
 double
 VariationalConv2d::klDivergence(float prior_sigma) const
 {
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
-    double kl = 0.0;
-
-    auto accumulate = [&](float mu, float rho) {
-        const double s = sigmaOf(rho);
-        kl += log_p - std::log(s) +
-            (s * s + static_cast<double>(mu) * mu) / (2.0 * p2) - 0.5;
-    };
-
+    KlSum sum(prior_sigma);
     const auto &mw = muWeight_.data();
     const auto &rw = rhoWeight_.data();
     for (std::size_t i = 0; i < mw.size(); ++i)
-        accumulate(mw[i], rw[i]);
+        sum.add(mw[i], sigmaOf(rw[i]));
     for (std::size_t i = 0; i < muBias_.size(); ++i)
-        accumulate(muBias_[i], rhoBias_[i]);
-    return kl;
+        sum.add(muBias_[i], sigmaOf(rhoBias_[i]));
+    return sum.value();
 }
 
-void
-VariationalConv2d::klBackward(float prior_sigma, float scale,
-                              VariationalConvGradients &grads) const
+double
+VariationalConv2d::klValueAndGrad(float prior_sigma, float scale,
+                                  VariationalConvGradients &grads) const
 {
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
-
-    auto grad_pair = [&](float mu, float rho, float &gmu, float &grho) {
-        const float s = sigmaOf(rho);
-        gmu += scale * mu * inv_p2;
-        grho += scale * (s * inv_p2 - 1.0f / s) * nn::logistic(rho);
-    };
-
+    KlSum sum(prior_sigma, scale);
     const auto &mw = muWeight_.data();
     const auto &rw = rhoWeight_.data();
     auto &gm = grads.muWeight.data();
     auto &gr = grads.rhoWeight.data();
     for (std::size_t i = 0; i < mw.size(); ++i)
-        grad_pair(mw[i], rw[i], gm[i], gr[i]);
+        sum.add(mw[i], sigmaOf(rw[i]), nn::logistic(rw[i]), gm[i], gr[i]);
     for (std::size_t i = 0; i < muBias_.size(); ++i)
-        grad_pair(muBias_[i], rhoBias_[i], grads.muBias[i],
-                  grads.rhoBias[i]);
+        sum.add(muBias_[i], sigmaOf(rhoBias_[i]), nn::logistic(rhoBias_[i]),
+                grads.muBias[i], grads.rhoBias[i]);
+    return sum.value();
 }
 
 } // namespace vibnn::bnn

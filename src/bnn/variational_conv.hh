@@ -139,9 +139,11 @@ class VariationalConv2d
     /** KL(q || N(0, prior_sigma^2)) over the layer's parameters. */
     double klDivergence(float prior_sigma) const;
 
-    /** Accumulate d(KL)/d(params) scaled by `scale` into grads. */
-    void klBackward(float prior_sigma, float scale,
-                    VariationalConvGradients &grads) const;
+    /** klDivergence, plus d(KL)/d(params) scaled by `scale`
+     *  accumulated into grads, in one pass over the parameters. The
+     *  returned value is bit-identical to klDivergence. */
+    double klValueAndGrad(float prior_sigma, float scale,
+                          VariationalConvGradients &grads) const;
 
     /** sigma = softplus(rho). */
     static float sigmaOf(float rho);

@@ -5,7 +5,7 @@
 
 #include "bnn/variational_matrix.hh"
 
-#include <cmath>
+#include "bnn/kl_sum.hh"
 
 namespace vibnn::bnn
 {
@@ -54,28 +54,24 @@ VariationalMatrix::accumulateSampleGrad(const nn::Matrix &dw,
 double
 VariationalMatrix::klDivergence(float prior_sigma) const
 {
-    const double p2 = static_cast<double>(prior_sigma) * prior_sigma;
-    const double log_p = std::log(static_cast<double>(prior_sigma));
-    double kl = 0.0;
-    for (std::size_t i = 0; i < mu_.size(); ++i) {
-        const double s = nn::softplus(rho_.data()[i]);
-        const double m = mu_.data()[i];
-        kl += log_p - std::log(s) + (s * s + m * m) / (2.0 * p2) - 0.5;
-    }
-    return kl;
+    KlSum sum(prior_sigma);
+    for (std::size_t i = 0; i < mu_.size(); ++i)
+        sum.add(mu_.data()[i], nn::softplus(rho_.data()[i]));
+    return sum.value();
 }
 
-void
-VariationalMatrix::klBackward(float prior_sigma, float scale,
-                              nn::Matrix &g_mu, nn::Matrix &g_rho) const
+double
+VariationalMatrix::klValueAndGrad(float prior_sigma, float scale,
+                                  nn::Matrix &g_mu,
+                                  nn::Matrix &g_rho) const
 {
-    const float inv_p2 = 1.0f / (prior_sigma * prior_sigma);
+    KlSum sum(prior_sigma, scale);
     for (std::size_t i = 0; i < mu_.size(); ++i) {
-        const float s = nn::softplus(rho_.data()[i]);
-        g_mu.data()[i] += scale * mu_.data()[i] * inv_p2;
-        g_rho.data()[i] += scale * (s * inv_p2 - 1.0f / s) *
-            nn::logistic(rho_.data()[i]);
+        const float rho = rho_.data()[i];
+        sum.add(mu_.data()[i], nn::softplus(rho), nn::logistic(rho),
+                g_mu.data()[i], g_rho.data()[i]);
     }
+    return sum.value();
 }
 
 } // namespace vibnn::bnn

@@ -71,9 +71,11 @@ class VariationalMatrix
     /** KL(q || N(0, prior^2)) over the block. */
     double klDivergence(float prior_sigma) const;
 
-    /** Accumulate scaled KL gradients. */
-    void klBackward(float prior_sigma, float scale, nn::Matrix &g_mu,
-                    nn::Matrix &g_rho) const;
+    /** klDivergence, plus its gradients scaled by `scale` accumulated
+     *  into g_mu / g_rho, in one pass. The returned value is
+     *  bit-identical to klDivergence. */
+    double klValueAndGrad(float prior_sigma, float scale, nn::Matrix &g_mu,
+                          nn::Matrix &g_rho) const;
 
     nn::Matrix &mu() { return mu_; }
     const nn::Matrix &mu() const { return mu_; }

@@ -522,34 +522,20 @@ Server::handleClassify(Connection &conn,
 
     InferenceRequest request = InferenceRequest::copy(
         wire.features.data(), wire.count, wire.dim);
-    request.mcSamples = static_cast<int>(wire.mcSamples);
+    // Clamped so a huge wire value is refused as too large, not as
+    // negative.
+    request.mcSamples = static_cast<int>(std::min<std::uint32_t>(
+        wire.mcSamples, std::numeric_limits<int>::max()));
     request.deadlineMicros = wire.deadlineMicros;
 
-    // Geometry mismatches must come back as error frames, not a
-    // server-side fatal(): pre-validate what validateRequest enforces.
+    // A request the session would refuse comes back as an error frame,
+    // never a server-side fatal(): the session's own check decides.
     const InferenceSession &session = *shard.session;
-    if (wire.count == 0 || wire.dim != session.inputDim()) {
-        shard.inflight.fetch_sub(1);
-        std::ostringstream msg;
-        msg << "bad request geometry: count=" << wire.count
-            << " dim=" << wire.dim << " (program input dim "
-            << session.inputDim() << ")";
-        return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
-                         msg.str());
-    }
-    if (wire.mcSamples > static_cast<std::uint32_t>(kMaxEnsembleSize)) {
+    const std::string refusal = session.requestError(request);
+    if (!refusal.empty()) {
         shard.inflight.fetch_sub(1);
         return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
-                         "mcSamples too large");
-    }
-    if (wire.deadlineMicros < 0 ||
-        wire.deadlineMicros > net::kMaxDeadlineMicros) {
-        // The decoder already rejects out-of-range deadlines; this
-        // re-check keeps the admission invariant local — nothing
-        // beyond the cap ever reaches a dispatcher's hold loop.
-        shard.inflight.fetch_sub(1);
-        return sendError(conn.sock, wire.id, net::ErrorCode::BadRequest,
-                         "deadlineMicros out of range");
+                         refusal);
     }
 
     // Brownout: a Degraded shard degrades service instead of refusing

@@ -146,7 +146,6 @@ SessionOptions::fromEnv(SessionOptions defaults)
     const std::string mode =
         envString("VIBNN_SERVE_MODE", execModeName(opts.mode));
     opts.mode = parseExecMode(mode);
-    opts.backendId = envString("VIBNN_SERVE_BACKEND", opts.backendId);
     opts.grngId = envString("VIBNN_SERVE_GRNG", opts.grngId);
     opts.mcSamples = serveEnvIntKnob("VIBNN_SERVE_T", opts.mcSamples);
     opts.threads = serveEnvCount("VIBNN_SERVE_THREADS", opts.threads);
@@ -407,13 +406,6 @@ InferenceSession::Builder::options(const SessionOptions &opts)
 }
 
 InferenceSession::Builder &
-InferenceSession::Builder::backend(std::string id)
-{
-    state_->opts.backendId = std::move(id);
-    return *this;
-}
-
-InferenceSession::Builder &
 InferenceSession::Builder::grng(std::string id)
 {
     state_->opts.grngId = std::move(id);
@@ -530,20 +522,15 @@ InferenceSession::Builder::build()
               std::to_string(kMaxDeadlineMicros) + "], got " +
               std::to_string(opts.defaultDeadlineMicros));
 
-    // Resolve the inherit-from-source defaults and the mode-derived
-    // backend into the option block ONCE — the session constructor
-    // reads only resolved values, so validation and execution cannot
-    // diverge.
+    // Resolve the inherit-from-source defaults into the option block
+    // ONCE — the session constructor reads only resolved values, so
+    // validation and execution cannot diverge.
     if (opts.grngId.empty())
         opts.grngId = state_->sourceGrngId.empty()
                           ? "rlf"
                           : state_->sourceGrngId;
     if (!opts.seed)
         opts.seed = state_->sourceSeed ? *state_->sourceSeed : 1;
-    if (opts.backendId.empty())
-        opts.backendId = opts.mode == ExecMode::Throughput
-                             ? "batched"
-                             : "functional";
 
     const auto grng_ids = grng::generatorIds();
     if (std::find(grng_ids.begin(), grng_ids.end(), opts.grngId) ==
@@ -553,26 +540,13 @@ InferenceSession::Builder::build()
               ")");
     }
 
-    const auto exec_ids = accel::registeredExecutorIds();
-    if (std::find(exec_ids.begin(), exec_ids.end(), opts.backendId) ==
-        exec_ids.end()) {
-        fatal("InferenceSession::Builder: unknown executor backend '" +
-              opts.backendId + "' (registered: " +
-              joinStrings(exec_ids) + ")");
-    }
-
     if (opts.adaptive.enabled) {
-        // Early exit retires images mid-ensemble; only the weight-reuse
-        // round path keeps the survivors' streams independent of who
-        // left (see McEngine::classifyBatchAdaptive).
-        if (opts.mode != ExecMode::Throughput ||
-            !accel::executorCaps(opts.backendId).batchedRounds) {
+        // Early exit retires images between weight-reuse rounds (see
+        // McEngine::classifyBatchAdaptive).
+        if (opts.mode != ExecMode::Throughput)
             fatal("InferenceSession::Builder: adaptive early-exit MC "
-                  "requires Throughput mode on a batched-rounds "
-                  "backend (mode " +
-                  std::string(execModeName(opts.mode)) +
-                  ", backend '" + opts.backendId + "')");
-        }
+                  "requires Throughput mode (mode " +
+                  std::string(execModeName(opts.mode)) + ")");
         if (opts.adaptive.confidence <= 0.0 ||
             opts.adaptive.confidence >= 1.0)
             fatal("InferenceSession::Builder: adaptive confidence "
@@ -601,21 +575,23 @@ InferenceSession::Builder::build()
 namespace
 {
 
-/** The engine policy of a session with resolved options. */
+/** The engine policy of a session with resolved options. The mode
+ *  alone picks the backend and its schedule. */
 accel::McEngineConfig
-engineConfig(const SessionOptions &opts, accel::McSchedule schedule)
+engineConfig(const SessionOptions &opts)
 {
-    // build() resolves every inherit/derive default before handing the
+    // build() resolves every inherit default before handing the
     // options over.
-    VIBNN_ASSERT(!opts.backendId.empty() && !opts.grngId.empty() &&
-                     opts.seed.has_value(),
+    VIBNN_ASSERT(!opts.grngId.empty() && opts.seed.has_value(),
                  "InferenceSession constructed with unresolved options");
+    const bool rounds = opts.mode == ExecMode::Throughput;
     accel::McEngineConfig mc;
     mc.threads = opts.threads;
     mc.generatorId = opts.grngId;
     mc.seedBase = *opts.seed;
-    mc.backendId = opts.backendId;
-    mc.schedule = schedule;
+    mc.backendId = rounds ? "batched" : "functional";
+    mc.schedule = rounds ? accel::McSchedule::PerRound
+                         : accel::McSchedule::PerUnit;
     return mc;
 }
 
@@ -630,13 +606,7 @@ InferenceSession::kernelName()
 InferenceSession::InferenceSession(const accel::QuantizedProgram &program,
                                    const accel::AcceleratorConfig &config,
                                    const SessionOptions &opts)
-    : opts_(opts), backendId_(opts.backendId),
-      schedule_(opts.mode == ExecMode::Throughput
-                    ? accel::McSchedule::PerRound
-                    : accel::McSchedule::PerUnit),
-      coalesce_(schedule_ == accel::McSchedule::PerRound &&
-                accel::executorCaps(opts.backendId).batchedRounds),
-      engine_(program, config, engineConfig(opts, schedule_))
+    : opts_(opts), engine_(program, config, engineConfig(opts))
 {
 }
 
@@ -683,33 +653,42 @@ InferenceSession::observePassMicros(int t, double micros)
     passEstimators_[t].observe(micros);
 }
 
-void
-InferenceSession::validateRequest(const InferenceRequest &request) const
+std::string
+InferenceSession::requestError(const InferenceRequest &request) const
 {
     if (request.count == 0)
-        fatal("InferenceSession: request holds no images");
+        return "InferenceSession: request holds no images";
     if (request.dim != inputDim())
-        fatal("InferenceSession: request dim " +
-              std::to_string(request.dim) +
-              " does not match the program input dim " +
-              std::to_string(inputDim()));
+        return "InferenceSession: request dim " +
+            std::to_string(request.dim) +
+            " does not match the program input dim " +
+            std::to_string(inputDim());
     if (!request.data())
-        fatal("InferenceSession: request carries no feature data");
+        return "InferenceSession: request carries no feature data";
     if (request.mcSamples < 0)
-        fatal("InferenceSession: request mcSamples must be >= 0");
+        return "InferenceSession: request mcSamples must be >= 0";
     if (request.mcSamples > kMaxEnsembleSize)
-        fatal("InferenceSession: request mcSamples must be <= " +
-              std::to_string(kMaxEnsembleSize) + ", got " +
-              std::to_string(request.mcSamples));
+        return "InferenceSession: request mcSamples must be <= " +
+            std::to_string(kMaxEnsembleSize) + ", got " +
+            std::to_string(request.mcSamples);
     if (request.deadlineMicros < 0 ||
         request.deadlineMicros > kMaxDeadlineMicros)
         // An unbounded budget is an unbounded dispatcher-hold license
         // (and overflows wait_for's duration math) — cap it like
         // mcSamples above.
-        fatal("InferenceSession: request deadlineMicros must be in "
-              "[0, " +
-              std::to_string(kMaxDeadlineMicros) + "], got " +
-              std::to_string(request.deadlineMicros));
+        return "InferenceSession: request deadlineMicros must be in "
+               "[0, " +
+            std::to_string(kMaxDeadlineMicros) + "], got " +
+            std::to_string(request.deadlineMicros);
+    return {};
+}
+
+void
+InferenceSession::validateRequest(const InferenceRequest &request) const
+{
+    const std::string error = requestError(request);
+    if (!error.empty())
+        fatal(error);
 }
 
 InferenceResult
@@ -892,12 +871,13 @@ InferenceSession::workerLoop()
             continue;
         }
 
-        // Pop the oldest request, then — when rounds are coalescable
-        // (weight-reuse schedule on a batchedRounds backend) — merge
+        // Pop the oldest request, then — in Throughput mode — merge
         // every pending request of the same ensemble size into the
-        // pass. Per-image outputs do not depend on the batch
-        // composition there, so the merge is a pure throughput
-        // decision: results are bit-identical either way.
+        // pass. A round's per-image outputs do not depend on the batch
+        // composition, so the merge is a pure throughput decision:
+        // results are bit-identical either way. Fidelity never merges:
+        // a per-unit stream is seeded by the image's position in the
+        // pass.
         std::vector<Queued> batch;
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -920,7 +900,7 @@ InferenceSession::workerLoop()
             }
         };
         bool held = false;
-        if (coalesce_) {
+        if (opts_.mode == ExecMode::Throughput) {
             mergePending();
             // Deadline-aware hold: when every batch member carries a
             // latency budget with slack beyond the expected pass

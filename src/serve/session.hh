@@ -75,12 +75,15 @@ class VibnnSystem;
 namespace vibnn::serve
 {
 
-/** How a session trades fidelity against throughput. */
+/** How a session trades fidelity against throughput. The mode alone
+ *  picks the executor backend and its Monte-Carlo schedule. */
 enum class ExecMode
 {
     /** Per-pass sampling fidelity: every (image, MC sample) unit draws
      *  fresh weights — the paper's semantics — on the "functional"
-     *  backend (bit-exact with the cycle simulator by construction). */
+     *  backend (bit-exact with the cycle simulator by construction).
+     *  A unit's stream is seeded by the image's position in its pass,
+     *  so requests are never merged. */
     Fidelity,
     /** Weight-reuse throughput: one weight sample per compute op per
      *  MC round, shared across the whole (micro-)batch, on the
@@ -104,9 +107,6 @@ constexpr int kMaxEnsembleSize = 65536;
 /** Session-wide serving policy. */
 struct SessionOptions
 {
-    /** Executor backend registry id; empty derives it from `mode`
-     *  ("functional" for Fidelity, "batched" for Throughput). */
-    std::string backendId;
     /** GRNG design id (see grng::makeGenerator); empty inherits the
      *  model source's id (a Builder::system() session) or "rlf".
      *  "philox" (VIBNN_SERVE_GRNG=philox) selects the counter-based
@@ -178,7 +178,6 @@ struct SessionOptions
      * Overlay the VIBNN_SERVE_* environment knobs onto `defaults` —
      * the string-parsing front door benches and examples use:
      *   VIBNN_SERVE_MODE        fidelity | throughput
-     *   VIBNN_SERVE_BACKEND     executor id (empty = derive from mode)
      *   VIBNN_SERVE_GRNG        generator id
      *   VIBNN_SERVE_T           ensemble size
      *   VIBNN_SERVE_THREADS     engine parallelism
@@ -352,7 +351,6 @@ class InferenceSession
 
         /** Replace the whole option block. */
         Builder &options(const SessionOptions &opts);
-        Builder &backend(std::string id);
         Builder &grng(std::string id);
         Builder &seed(std::uint64_t seed);
         Builder &mcSamples(int t);
@@ -367,9 +365,9 @@ class InferenceSession
         Builder &maxBatchImages(std::size_t images);
 
         /** Validate and construct. fatal() on: no model source, an
-         *  unloadable program file, unknown backend / GRNG ids (the
-         *  registered ids are listed), T < 1, or a program that fails
-         *  geometry validation against the accelerator config. */
+         *  unloadable program file, an unknown GRNG id (the registered
+         *  ids are listed), T < 1, or a program that fails geometry
+         *  validation against the accelerator config. */
         std::unique_ptr<InferenceSession> build();
 
       private:
@@ -381,6 +379,12 @@ class InferenceSession
 
     InferenceSession(const InferenceSession &) = delete;
     InferenceSession &operator=(const InferenceSession &) = delete;
+
+    /** Why `request` cannot be served — it does not match the program
+     *  geometry or breaks a bound — or empty when it can. run() and
+     *  submit() fatal() with this reason; the server answers wire
+     *  requests with it instead. */
+    std::string requestError(const InferenceRequest &request) const;
 
     /** Serve one request synchronously. */
     InferenceResult run(const InferenceRequest &request);
@@ -441,8 +445,9 @@ class InferenceSession
     }
     std::size_t inputDim() const { return program().inputDim(); }
     std::size_t outputDim() const { return program().outputDim(); }
-    /** The executor backend id the session actually runs on. */
-    const std::string &backendId() const { return backendId_; }
+    /** The executor backend id the session runs on: "functional" in
+     *  Fidelity mode, "batched" in Throughput mode. */
+    const std::string &backendId() const { return engine_.backendId(); }
 
     /** The SIMD kernel tier the backends dispatch to ("scalar",
      *  "sse4", "avx2") — serving introspection, so a deployment can
@@ -469,7 +474,7 @@ class InferenceSession
     std::int64_t passEstimateMicros(int t) const;
     void observePassMicros(int t, double micros);
 
-    /** fatal() unless the request matches the program geometry. */
+    /** fatal() with requestError()'s reason when it has one. */
     void validateRequest(const InferenceRequest &request) const;
 
     /** Run one engine pass over `items` (same effective T), build and
@@ -497,13 +502,6 @@ class InferenceSession
     void ensureWorker();
 
     SessionOptions opts_;
-    std::string backendId_;
-    accel::McSchedule schedule_;
-    /** Coalescing is sound only when one weight draw genuinely serves
-     *  the whole round (the backend advertises batchedRounds);
-     *  otherwise the fallback streams images sequentially and merging
-     *  would make outputs depend on batch composition. */
-    bool coalesce_;
 
     /** Serializes engine use and counter updates. */
     mutable std::mutex execMutex_;

@@ -356,8 +356,7 @@ TEST(AdaptiveMc, RequiresBatchedRoundsBackend)
     const auto xs = randomBatch(2, program.inputDim(), 23);
 
     McEngineConfig mc;
-    mc.backendId = "functional"; // per-image fallback stream
-    mc.schedule = McSchedule::PerRound;
+    mc.backendId = "functional";
     McEngine engine(program, config, mc);
     // Earlier tests leave the global pool's workers running. A forked
     // death-test child inherits none of them, so fatal()'s exit-time

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the executor backend layer: registry and capability flags,
- * bit-exact delegation of the fidelity backends through the Executor
- * seam, the per-image fallback semantics of the default round-batch,
- * exact agreement of the batched weight-reuse path with the fidelity
+ * Tests for the executor backend layer: the registry, bit-exact
+ * delegation of the fidelity backends through the Executor seam, exact
+ * agreement of the batched weight-reuse path with the fidelity
  * path when sigma = 0 (where weight reuse is a no-op) on both MLP and
  * CNN programs, statistical equivalence of the two paths at matched T
  * on synth-MNIST, and bit-identical round-scheduling results across
@@ -171,7 +170,7 @@ struct ScopedFaults
 
 } // anonymous namespace
 
-TEST(ExecutorRegistry, ProvidesAllBackendsWithExpectedCaps)
+TEST(ExecutorRegistry, ProvidesAllBackends)
 {
     const auto config = smallConfig();
     const auto program = mlpProgram(config, 3);
@@ -184,13 +183,18 @@ TEST(ExecutorRegistry, ProvidesAllBackendsWithExpectedCaps)
         ASSERT_NE(exec, nullptr) << id;
         EXPECT_EQ(exec->program().ops.size(), program.ops.size());
         EXPECT_EQ(exec->config().peSets, config.peSets);
-        const auto caps = exec->caps();
-        EXPECT_EQ(caps.batchedRounds, id == "batched") << id;
-        // The no-construction registry lookup must agree with the
-        // backend's own flags (serving-layer scheduling relies on it).
-        const auto static_caps = executorCaps(id);
-        EXPECT_EQ(static_caps.batchedRounds, caps.batchedRounds) << id;
     }
+}
+
+TEST(ExecutorRegistryDeathTest, UnknownIdListsTheRegisteredBackends)
+{
+    const auto config = smallConfig();
+    const auto program = mlpProgram(config, 3);
+    auto gen = grng::makeGenerator("rlf", 7);
+    EXPECT_DEATH((void)makeExecutor("no-such-backend", program, config,
+                                    gen.get()),
+                 "unknown executor id 'no-such-backend'.*registered: "
+                 "simulator, functional, batched");
 }
 
 TEST(ExecutorSeam, FidelityBackendsBitExactThroughInterface)
@@ -253,32 +257,6 @@ TEST(ExecutorSeam, SharedClassifyMatchesManualEnsemble)
     EXPECT_EQ(predicted, ensemble.predicted());
     for (std::size_t i = 0; i < out_dim; ++i)
         EXPECT_EQ(probs[i], mean[i]) << "class " << i;
-}
-
-TEST(ExecutorSeam, DefaultRoundBatchIsPerImageFreshSamplePasses)
-{
-    // Backends without batchedRounds fall back to one fresh-sample
-    // pass per image of the round, consuming the stream in image
-    // order.
-    const auto config = smallConfig();
-    const auto program = mlpProgram(config, 9);
-    const std::size_t count = 3, dim = program.inputDim();
-    const auto xs = randomBatch(count, dim, 23);
-
-    auto gen_a = grng::makeGenerator("rlf", 29);
-    auto gen_b = grng::makeGenerator("rlf", 29);
-    auto round_exec = makeExecutor("functional", program, config,
-                                   gen_a.get());
-    std::vector<std::int64_t> round_out(count * program.outputDim());
-    round_exec->runRoundBatch(xs.data(), count, dim, round_out.data());
-
-    FunctionalRunner serial(program, config, gen_b.get());
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto raw = serial.runPass(xs.data() + i * dim);
-        for (std::size_t j = 0; j < raw.size(); ++j)
-            EXPECT_EQ(round_out[i * program.outputDim() + j], raw[j])
-                << "image " << i << " out " << j;
-    }
 }
 
 TEST(BatchedRunner, SigmaZeroBitExactWithFunctionalOnMlp)
@@ -637,62 +615,6 @@ TEST(McEngineRound, BitIdenticalAcrossThreadCounts)
                     << id << " threads=" << threads << " call " << call;
             }
         }
-    }
-}
-
-TEST(McEngineRound, FixedTRoundsOnFallbackBackendMatchSerialRounds)
-{
-    // A PerRound engine on a backend without batchedRounds reaches the
-    // base runRoundBatchGather copy fallback: round r is one
-    // fresh-sample pass per image, in image order, off the stream
-    // seeded roundSeed(seedBase, r). Two replicas over a 4-image batch
-    // must equal runRoundBatch on one serial FunctionalRunner.
-    const auto config = smallConfig(5);
-    const auto program = mlpProgram(config, 137);
-    const std::size_t count = 4, dim = program.inputDim();
-    const std::size_t out_dim = program.outputDim();
-    const auto xs = randomBatch(count, dim, 139);
-
-    McEngineConfig mc;
-    mc.threads = 2;
-    mc.seedBase = 149;
-    mc.backendId = "functional";
-    mc.schedule = McSchedule::PerRound;
-    McEngine engine(program, config, mc);
-    const auto parallel = engine.classifyBatchDetailed(xs.data(), count,
-                                                       dim);
-
-    auto placeholder = grng::makeGenerator("rlf", 1);
-    FunctionalRunner serial(program, config, placeholder.get());
-    std::vector<stats::SequentialPosteriorTest> ensembles(
-        count, stats::SequentialPosteriorTest(out_dim));
-    std::vector<std::int64_t> raw(count * out_dim);
-    std::vector<float> sample(out_dim);
-    for (int r = 0; r < config.mcSamples; ++r) {
-        auto gen = grng::makeGenerator(
-            "rlf", McEngine::roundSeed(149,
-                                       static_cast<std::uint64_t>(r)));
-        serial.setGenerator(gen.get());
-        serial.runRoundBatch(xs.data(), count, dim, raw.data());
-        serial.setGenerator(placeholder.get());
-        for (std::size_t i = 0; i < count; ++i) {
-            sampleSoftmax(program, raw.data() + i * out_dim,
-                          sample.data());
-            ensembles[i].add(sample.data());
-            const auto row = parallel.sampleProbs.begin() +
-                (i * config.mcSamples + r) * out_dim;
-            EXPECT_EQ(sample, std::vector<float>(row, row + out_dim))
-                << "image " << i << " round " << r;
-        }
-    }
-    std::vector<float> mean(out_dim);
-    for (std::size_t i = 0; i < count; ++i) {
-        ensembles[i].mean(mean.data());
-        EXPECT_EQ(parallel.predicted[i], ensembles[i].predicted())
-            << "image " << i;
-        for (std::size_t c = 0; c < out_dim; ++c)
-            EXPECT_EQ(parallel.probs[i * out_dim + c], mean[c])
-                << "image " << i << " class " << c;
     }
 }
 

@@ -51,6 +51,27 @@ makeInput(std::size_t dim, std::uint64_t seed)
 
 } // anonymous namespace
 
+TEST(McEngineDeathTest, BackendFixesTheSchedule)
+{
+    // Rounds are the batched runner's alone: a per-pass backend cannot
+    // run them, and the batched backend runs nothing else.
+    auto net = makeNet({32, 16, 4}, 3);
+    const auto config = smallConfig(2);
+    const auto program = compile(net, config);
+
+    McEngineConfig rounds_on_functional;
+    rounds_on_functional.backendId = "functional";
+    rounds_on_functional.schedule = McSchedule::PerRound;
+    EXPECT_DEATH(McEngine engine(program, config, rounds_on_functional),
+                 "backend 'functional' runs per-unit");
+
+    McEngineConfig units_on_batched;
+    units_on_batched.backendId = "batched";
+    units_on_batched.schedule = McSchedule::PerUnit;
+    EXPECT_DEATH(McEngine engine(program, config, units_on_batched),
+                 "backend 'batched' runs per-round");
+}
+
 TEST(McEngine, MatchesSerialSeedScheduleEmulation)
 {
     // Every (image, sample) unit runs with the stream seeded by

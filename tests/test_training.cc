@@ -97,8 +97,7 @@ bitsEqual(const std::vector<float> &a, const std::vector<float> &b)
  *  the analytic minibatch gradients, on a sampled subset of one
  *  parameter tensor; asserts small relative L2 error. */
 void
-checkGradientTensor(bnn::BayesianMlp &net, bnn::BnnBatchTrainer &engine,
-                    const nn::DataView &data,
+checkGradientTensor(bnn::BnnBatchTrainer &engine, const nn::DataView &data,
                     const std::vector<std::size_t> &idx, float *params,
                     const float *analytic, std::size_t count,
                     const char *what)
@@ -156,19 +155,19 @@ runGradCheck(bnn::BnnEstimator estimator)
     const auto &grads = engine.gradients();
     auto &layers = net.layers();
     for (std::size_t l = 0; l < layers.size(); ++l) {
-        checkGradientTensor(net, engine, data, idx,
+        checkGradientTensor(engine, data, idx,
                             layers[l].muWeight().data().data(),
                             grads[l].muWeight.data().data(),
                             layers[l].muWeight().size(), "muWeight");
-        checkGradientTensor(net, engine, data, idx,
+        checkGradientTensor(engine, data, idx,
                             layers[l].rhoWeight().data().data(),
                             grads[l].rhoWeight.data().data(),
                             layers[l].rhoWeight().size(), "rhoWeight");
-        checkGradientTensor(net, engine, data, idx,
+        checkGradientTensor(engine, data, idx,
                             layers[l].muBias().data(),
                             grads[l].muBias.data(),
                             layers[l].muBias().size(), "muBias");
-        checkGradientTensor(net, engine, data, idx,
+        checkGradientTensor(engine, data, idx,
                             layers[l].rhoBias().data(),
                             grads[l].rhoBias.data(),
                             layers[l].rhoBias().size(), "rhoBias");
