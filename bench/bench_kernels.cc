@@ -4,7 +4,9 @@
  * hot kernels the batched inference path is built on — the batched
  * fixed-point GEMM (with and without the int16 madd fast path), the
  * fused mu + sigma * eps weight draw, and the double->fixed eps
- * conversion. Every tier compiled into the binary and supported by
+ * conversion — plus the three float32 GEMMs of batched training
+ * (forward, dW = dy^T x, dx = dy W) at the layer-0 training shape.
+ * Every tier compiled into the binary and supported by
  * this CPU gets a row, with the dispatch-selected tier marked; all
  * tiers are ctest-pinned bit-exact, so the only difference between
  * rows is speed. VIBNN_BENCH_JSON=<path> records the table
@@ -64,7 +66,8 @@ main()
 {
     bench::banner("SIMD kernels",
                   "Per-tier throughput of the batched-path hot loops "
-                  "(GEMM, fused weight sampling, eps conversion)");
+                  "(GEMM, fused weight sampling, eps conversion) and "
+                  "of the f32 training GEMMs");
     std::printf("dispatch-selected tier: %s "
                 "(VIBNN_KERNELS=<tier> overrides)\n\n",
                 k::activeKernelName());
@@ -139,10 +142,53 @@ main()
     }
     std::vector<std::int32_t> rlf_counts(rlf_cycles * 8);
 
+    // The f32 training GEMMs at layer 0 of the 784-200-200-10 network
+    // under a 64-sample minibatch: m = batch, n = outputs, k = inputs.
+    const std::size_t fm = 64, fn = 200, fk = 784;
+    const auto f32 = [](std::size_t count, std::uint64_t seed) {
+        Rng rng(seed);
+        std::vector<float> v(count);
+        for (auto &x : v)
+            x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+        return v;
+    };
+    const auto x_f = f32(fm * fk, 12), w_f = f32(fn * fk, 13),
+               dy_f = f32(fm * fn, 14);
+    std::vector<float> y_f(fm * fn), dw_f(fn * fk, 0.0f), db_f(fn, 0.0f),
+        dx_f(fm * fk);
+    k::GemmF32Args fwd; // y = x . W^T
+    fwd.a = x_f.data();
+    fwd.lda = fk;
+    fwd.b = w_f.data();
+    fwd.ldb = fk;
+    fwd.c = y_f.data();
+    fwd.ldc = fn;
+    fwd.m = fm;
+    fwd.n = fn;
+    fwd.k = fk;
+    k::GemmF32Args atb; // dW += dy^T . x, db += colsum(dy)
+    atb.a = dy_f.data();
+    atb.lda = fn;
+    atb.b = x_f.data();
+    atb.ldb = fk;
+    atb.c = dw_f.data();
+    atb.ldc = fk;
+    atb.m = fm;
+    atb.n = fn;
+    atb.k = fk;
+    atb.colSums = db_f.data();
+    k::GemmF32Args ab = atb; // dx = dy . W
+    ab.b = w_f.data();
+    ab.c = dx_f.data();
+    ab.colSums = nullptr;
+    const double f32_macs = static_cast<double>(fm) * fn * fk;
+
     bench::JsonReport report;
     TextTable table;
     table.setHeader({"tier", "GEMM s32 GMAC/s", "GEMM s16 GMAC/s",
-                     "sample M/s", "eps conv M/s", "rlf eps M/s"});
+                     "sample M/s", "eps conv M/s", "rlf eps M/s",
+                     "f32 fwd GMAC/s", "f32 AtB GMAC/s",
+                     "f32 AB GMAC/s"});
     for (const auto *tier : k::availableKernels()) {
         gemm.weights16 = nullptr;
         gemm.acts16 = nullptr;
@@ -171,13 +217,20 @@ main()
             st.head = 0;
             tier->rlfCycleCounts(st, rlf_cycles, rlf_counts.data());
         }) * static_cast<double>(rlf_cycles * 8) / 1e6;
+        const double f32_fwd =
+            rate([&] { tier->gemmBatchF32(fwd); }) * f32_macs / 1e9;
+        const double f32_atb =
+            rate([&] { tier->gemmAtBF32(atb); }) * f32_macs / 1e9;
+        const double f32_ab =
+            rate([&] { tier->gemmABF32(ab); }) * f32_macs / 1e9;
 
         const bool active =
             std::string(tier->name) == k::activeKernelName();
         table.addRow({std::string(tier->name) + (active ? " *" : ""),
                       strfmt("%.2f", gemm32), strfmt("%.2f", gemm16),
                       strfmt("%.1f", sample), strfmt("%.1f", conv),
-                      strfmt("%.1f", rlf_eps)});
+                      strfmt("%.1f", rlf_eps), strfmt("%.2f", f32_fwd),
+                      strfmt("%.2f", f32_atb), strfmt("%.2f", f32_ab)});
         report.add(bench::JsonRecord()
                        .field("bench", "kernels")
                        .field("section", "kernels")
@@ -187,7 +240,10 @@ main()
                        .field("gemm_s16_gmacs", gemm16)
                        .field("sample_ms", sample)
                        .field("eps_conv_ms", conv)
-                       .field("rlf_eps_ms", rlf_eps));
+                       .field("rlf_eps_ms", rlf_eps)
+                       .field("gemm_f32_gmacs", f32_fwd)
+                       .field("gemm_atb_f32_gmacs", f32_atb)
+                       .field("gemm_ab_f32_gmacs", f32_ab));
     }
     table.print();
     std::printf("\n(* = dispatch-selected; s16 column falls back to the "

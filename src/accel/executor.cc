@@ -139,6 +139,12 @@ findBackend(const std::string &id)
 
 } // namespace
 
+void
+requireExecutorId(const std::string &id)
+{
+    findBackend(id);
+}
+
 std::unique_ptr<Executor>
 makeExecutor(const std::string &id, const QuantizedProgram &program,
              const AcceleratorConfig &config,

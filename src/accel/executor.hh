@@ -134,6 +134,10 @@ makeExecutor(const std::string &id, const QuantizedProgram &program,
  *  registry introspection facades and error messages build on. */
 std::vector<std::string> registeredExecutorIds();
 
+/** fatal() with makeExecutor's unknown-id message unless `id` is
+ *  registered: for callers that check an id before its first use. */
+void requireExecutorId(const std::string &id);
+
 } // namespace vibnn::accel
 
 #endif // VIBNN_ACCEL_EXECUTOR_HH

@@ -20,6 +20,12 @@
  * remainder's comparison against 0.5. Saturation happens in the double
  * domain against the same bounds as FixedPointFormat::fromReal.
  *
+ * The f32 backward GEMMs hold a 4-row x 16-column tile of C in eight
+ * registers for the whole reduction, so C crosses the caches once per
+ * call instead of once per reduction step. The tile vectorizes across
+ * output elements only: each element's reduction stays sequential,
+ * multiply then add, as in the scalar reference.
+ *
  * This TU is compiled with -mavx2 on x86 hosts only (CMake per-file
  * flags); runtime dispatch guarantees nothing here executes on a CPU
  * without AVX2.
@@ -518,25 +524,120 @@ axpyAvx2(float *crow, float s, const float *brow, std::size_t n)
     detail::axpyTailF32(crow, s, brow, t, n);
 }
 
+/** One register tile of a backward GEMM: rows r < 4 of c, columns
+ *  [0, 16) (Wide) or [0, 8), get c[r] (+)= sum over p < depth of
+ *  a[r * ra + p * pa] * b[p], p walked in order. The tile starts from C
+ *  (Accumulate) or from 0.0f, and is stored once at the end. Named
+ *  accumulators, not an array: GCC keeps an array tile in registers
+ *  but also stores it to the stack on every step. */
+template <bool Wide, bool Accumulate>
+inline void
+tile4RowsAvx2(const float *a, std::size_t ra, std::size_t pa,
+              const float *b, std::size_t ldb, std::size_t depth,
+              float *c, std::size_t ldc)
+{
+    float *c0 = c, *c1 = c0 + ldc, *c2 = c1 + ldc, *c3 = c2 + ldc;
+    const auto start = [](const float *row) {
+        return Accumulate ? _mm256_loadu_ps(row) : _mm256_setzero_ps();
+    };
+    // Row r's columns [0, 8) in lo<r>, [8, 16) in hi<r>.
+    __m256 lo0 = start(c0), lo1 = start(c1), lo2 = start(c2),
+           lo3 = start(c3);
+    __m256 hi0 = lo0, hi1 = lo1, hi2 = lo2, hi3 = lo3;
+    if constexpr (Wide) {
+        hi0 = start(c0 + 8);
+        hi1 = start(c1 + 8);
+        hi2 = start(c2 + 8);
+        hi3 = start(c3 + 8);
+    }
+    for (std::size_t p = 0; p < depth; ++p) {
+        const float *ap = a + p * pa;
+        const float *bp = b + p * ldb;
+        const __m256 bl = _mm256_loadu_ps(bp);
+        const __m256 bh = Wide ? _mm256_loadu_ps(bp + 8) : bl;
+        const auto step = [&](__m256 &lo, __m256 &hi, const float *s) {
+            const __m256 sv = _mm256_broadcast_ss(s);
+            lo = _mm256_add_ps(lo, _mm256_mul_ps(sv, bl));
+            if constexpr (Wide)
+                hi = _mm256_add_ps(hi, _mm256_mul_ps(sv, bh));
+        };
+        step(lo0, hi0, ap);
+        step(lo1, hi1, ap + ra);
+        step(lo2, hi2, ap + 2 * ra);
+        step(lo3, hi3, ap + 3 * ra);
+    }
+    _mm256_storeu_ps(c0, lo0);
+    _mm256_storeu_ps(c1, lo1);
+    _mm256_storeu_ps(c2, lo2);
+    _mm256_storeu_ps(c3, lo3);
+    if constexpr (Wide) {
+        _mm256_storeu_ps(c0 + 8, hi0);
+        _mm256_storeu_ps(c1 + 8, hi1);
+        _mm256_storeu_ps(c2 + 8, hi2);
+        _mm256_storeu_ps(c3 + 8, hi3);
+    }
+}
+
+/** Four output rows of a backward GEMM (see tile4RowsAvx2) over all k
+ *  columns: 16-wide tiles, one 8-wide tile, then the scalar axpy tail.
+ *  Every element sees the scalar reference's operations in its order,
+ *  so the tiling only changes how often C crosses the caches. */
+template <bool Accumulate>
+void
+rows4Avx2(const float *a, std::size_t ra, std::size_t pa, const float *b,
+          std::size_t ldb, std::size_t depth, float *c, std::size_t ldc,
+          std::size_t k)
+{
+    std::size_t t = 0;
+    for (; t + 16 <= k; t += 16)
+        tile4RowsAvx2<true, Accumulate>(a, ra, pa, b + t, ldb, depth,
+                                        c + t, ldc);
+    if (t + 8 <= k) {
+        tile4RowsAvx2<false, Accumulate>(a, ra, pa, b + t, ldb, depth,
+                                         c + t, ldc);
+        t += 8;
+    }
+    if (t == k)
+        return;
+    if (!Accumulate)
+        for (std::size_t r = 0; r < 4; ++r)
+            for (std::size_t u = t; u < k; ++u)
+                c[r * ldc + u] = 0.0f;
+    for (std::size_t p = 0; p < depth; ++p)
+        for (std::size_t r = 0; r < 4; ++r)
+            detail::axpyTailF32(c + r * ldc, a[r * ra + p * pa],
+                                b + p * ldb, t, k);
+}
+
 void
 gemmAtBF32Avx2(const GemmF32Args &g)
 {
-    for (std::size_t i = 0; i < g.m; ++i) {
-        const float *arow = g.a + i * g.lda;
-        const float *brow = g.b + i * g.ldb;
-        for (std::size_t j = 0; j < g.n; ++j) {
-            const float aij = arow[j];
-            if (g.colSums)
-                g.colSums[j] += aij;
-            axpyAvx2(g.c + j * g.ldc, aij, brow, g.k);
-        }
-    }
+    if (g.colSums)
+        for (std::size_t i = 0; i < g.m; ++i)
+            for (std::size_t j = 0; j < g.n; ++j)
+                g.colSums[j] += g.a[i * g.lda + j];
+    // Output rows j..j+3 reduce over the minibatch rows i: a[i][j + r]
+    // sits at a + r + i * lda.
+    std::size_t j = 0;
+    for (; j + 4 <= g.n; j += 4)
+        rows4Avx2<true>(g.a + j, 1, g.lda, g.b, g.ldb, g.m,
+                        g.c + j * g.ldc, g.ldc, g.k);
+    for (; j < g.n; ++j)
+        for (std::size_t i = 0; i < g.m; ++i)
+            axpyAvx2(g.c + j * g.ldc, g.a[i * g.lda + j], g.b + i * g.ldb,
+                     g.k);
 }
 
 void
 gemmABF32Avx2(const GemmF32Args &g)
 {
-    for (std::size_t i = 0; i < g.m; ++i) {
+    // Output rows i..i+3 reduce over j: a[i + r][j] sits at
+    // a + r * lda + j.
+    std::size_t i = 0;
+    for (; i + 4 <= g.m; i += 4)
+        rows4Avx2<false>(g.a + i * g.lda, g.lda, 1, g.b, g.ldb, g.n,
+                         g.c + i * g.ldc, g.ldc, g.k);
+    for (; i < g.m; ++i) {
         const float *arow = g.a + i * g.lda;
         float *crow = g.c + i * g.ldc;
         for (std::size_t t = 0; t < g.k; ++t)

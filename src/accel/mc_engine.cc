@@ -20,6 +20,10 @@ McEngine::McEngine(const QuantizedProgram &program,
 {
     validateProgram(program_, config_);
     VIBNN_ASSERT(config_.mcSamples >= 1, "need at least one MC sample");
+    // Unknown ids die here, in the registries' words, not at the first
+    // classify.
+    requireExecutorId(mc_.backendId);
+    grng::requireGeneratorId(mc_.generatorId);
     // The backend fixes the unit: rounds mean weight reuse, which only
     // the batched runner has.
     if (rounds_ != (mc_.schedule == McSchedule::PerRound))

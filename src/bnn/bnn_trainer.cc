@@ -300,14 +300,10 @@ struct BnnBatchTrainer::Impl
             const float *rhoW = ls[l].rhoWeight().data().data();
             const float *rhoB = ls[l].rhoBias().data();
             const std::size_t w = st.out * st.in;
-            for (std::size_t i = 0; i < w; ++i) {
-                st.sigmaW[i] = VariationalDense::sigmaOf(rhoW[i]);
-                st.dSigmaW[i] = nn::logistic(rhoW[i]);
-            }
-            for (std::size_t i = 0; i < st.out; ++i) {
-                st.sigmaB[i] = VariationalDense::sigmaOf(rhoB[i]);
-                st.dSigmaB[i] = nn::logistic(rhoB[i]);
-            }
+            for (std::size_t i = 0; i < w; ++i)
+                nn::softplusLogistic(rhoW[i], st.sigmaW[i], st.dSigmaW[i]);
+            for (std::size_t i = 0; i < st.out; ++i)
+                nn::softplusLogistic(rhoB[i], st.sigmaB[i], st.dSigmaB[i]);
             if (cfg.estimator == BnnEstimator::LocalReparam) {
                 for (std::size_t i = 0; i < w; ++i)
                     st.sigmaSqW[i] = st.sigmaW[i] * st.sigmaW[i];

@@ -271,11 +271,15 @@ VariationalConv2d::klValueAndGrad(float prior_sigma, float scale,
     const auto &rw = rhoWeight_.data();
     auto &gm = grads.muWeight.data();
     auto &gr = grads.rhoWeight.data();
-    for (std::size_t i = 0; i < mw.size(); ++i)
-        sum.add(mw[i], sigmaOf(rw[i]), nn::logistic(rw[i]), gm[i], gr[i]);
-    for (std::size_t i = 0; i < muBias_.size(); ++i)
-        sum.add(muBias_[i], sigmaOf(rhoBias_[i]), nn::logistic(rhoBias_[i]),
-                grads.muBias[i], grads.rhoBias[i]);
+    float s = 0.0f, ds = 0.0f;
+    for (std::size_t i = 0; i < mw.size(); ++i) {
+        nn::softplusLogistic(rw[i], s, ds);
+        sum.add(mw[i], s, ds, gm[i], gr[i]);
+    }
+    for (std::size_t i = 0; i < muBias_.size(); ++i) {
+        nn::softplusLogistic(rhoBias_[i], s, ds);
+        sum.add(muBias_[i], s, ds, grads.muBias[i], grads.rhoBias[i]);
+    }
     return sum.value();
 }
 

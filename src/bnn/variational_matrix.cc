@@ -66,10 +66,10 @@ VariationalMatrix::klValueAndGrad(float prior_sigma, float scale,
                                   nn::Matrix &g_rho) const
 {
     KlSum sum(prior_sigma, scale);
+    float s = 0.0f, ds = 0.0f;
     for (std::size_t i = 0; i < mu_.size(); ++i) {
-        const float rho = rho_.data()[i];
-        sum.add(mu_.data()[i], nn::softplus(rho), nn::logistic(rho),
-                g_mu.data()[i], g_rho.data()[i]);
+        nn::softplusLogistic(rho_.data()[i], s, ds);
+        sum.add(mu_.data()[i], s, ds, g_mu.data()[i], g_rho.data()[i]);
     }
     return sum.value();
 }

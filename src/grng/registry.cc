@@ -1,5 +1,7 @@
 #include "grng/registry.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "grng/baselines.hh"
 #include "grng/bnn_wallace.hh"
@@ -10,6 +12,18 @@
 
 namespace vibnn::grng
 {
+
+namespace
+{
+
+[[noreturn]] void
+unknownGeneratorId(const std::string &id)
+{
+    fatal("unknown generator id '" + id + "' (registered: " +
+          joinStrings(generatorIds()) + ")");
+}
+
+} // namespace
 
 std::unique_ptr<GaussianGenerator>
 makeGenerator(const std::string &id, std::uint64_t seed)
@@ -72,8 +86,7 @@ makeGenerator(const std::string &id, std::uint64_t seed)
     if (id == "reference")
         return std::make_unique<ReferenceGrng>(seed);
 
-    fatal("unknown generator id '" + id + "' (registered: " +
-          joinStrings(generatorIds()) + ")");
+    unknownGeneratorId(id);
 }
 
 std::vector<std::string>
@@ -87,6 +100,14 @@ generatorIds()
         "clt-lfsr",    "box-muller",   "polar",         "ziggurat",
         "cdf-inversion", "reference",
     };
+}
+
+void
+requireGeneratorId(const std::string &id)
+{
+    const auto ids = generatorIds();
+    if (std::find(ids.begin(), ids.end(), id) == ids.end())
+        unknownGeneratorId(id);
 }
 
 } // namespace vibnn::grng

@@ -41,6 +41,10 @@ std::unique_ptr<GaussianGenerator> makeGenerator(const std::string &id,
 /** All ids accepted by makeGenerator, in presentation order. */
 std::vector<std::string> generatorIds();
 
+/** fatal() with makeGenerator's unknown-id message unless `id` is
+ *  registered: for callers that check an id before its first use. */
+void requireGeneratorId(const std::string &id);
+
 } // namespace vibnn::grng
 
 #endif // VIBNN_GRNG_REGISTRY_HH

@@ -7,6 +7,7 @@
 #ifndef VIBNN_NN_ACTIVATIONS_HH
 #define VIBNN_NN_ACTIVATIONS_HH
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -28,6 +29,25 @@ float softplus(float x);
 
 /** d softplus / dx = logistic(x). */
 float logistic(float x);
+
+/**
+ * sp = softplus(x) and lg = logistic(x), bit-identical to the two
+ * functions, with one exp(x) for both when x < 0 (where each function
+ * takes its own). Callers that need sigma = softplus(rho) and
+ * dsigma/drho = logistic(rho) of the same rho use this.
+ */
+inline void
+softplusLogistic(float x, float &sp, float &lg)
+{
+    if (x >= 0.0f) {
+        sp = softplus(x);
+        lg = logistic(x);
+        return;
+    }
+    const float z = std::exp(x);
+    sp = x < -20.0f ? z : std::log1p(z);
+    lg = z / (1.0f + z);
+}
 
 } // namespace vibnn::nn
 

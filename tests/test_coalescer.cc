@@ -82,8 +82,9 @@ TEST(Coalescer, RandomizedInvariantSweep)
         const std::int64_t allowance =
             holdAllowanceMicros(budget, waited, reserve);
         ASSERT_GE(allowance, 0);
-        if (budget <= 0)
+        if (budget <= 0) {
             ASSERT_EQ(allowance, 0);
+        }
         if (allowance > 0) {
             ASSERT_LE(std::max<std::int64_t>(waited, 0) + allowance +
                           std::max<std::int64_t>(reserve, 0),

@@ -833,24 +833,31 @@ TEST(KernelGemmF32, BatchForwardTiersBitExact)
 
 TEST(KernelGemmF32, AtBAccumulateTiersBitExact)
 {
+    // lda/ldc 0 = packed. n = 6 and 10 leave rows beside the AVX2
+    // 4-row tiles; k = 27 reaches its 16-wide, 8-wide and scalar
+    // column paths, k = 200 the first two; (64, 10, 200) is the
+    // training shape; lda > n is every pooled trainer shard's layout.
     const struct
     {
-        std::size_t m, n, k;
-    } shapes[] = {{1, 1, 1}, {4, 5, 7}, {9, 3, 64}, {5, 8, 131},
-                  {2, 17, 9}};
+        std::size_t m, n, k, lda = 0, ldc = 0;
+    } shapes[] = {{1, 1, 1},    {4, 5, 7},     {9, 3, 64},
+                  {5, 8, 131},  {2, 17, 9},    {5, 6, 27},
+                  {3, 6, 200},  {64, 10, 200}, {9, 6, 27, 11, 32}};
     for (const auto &sh : shapes) {
+        const std::size_t lda = sh.lda ? sh.lda : sh.n;
+        const std::size_t ldc = sh.ldc ? sh.ldc : sh.k;
         for (const bool with_sums : {false, true}) {
-            const auto a = randomFloats(sh.m * sh.n, 101 + sh.n, 1.5f);
+            const auto a = randomFloats(sh.m * lda, 101 + sh.n, 1.5f);
             const auto b = randomFloats(sh.m * sh.k, 211 + sh.k, 1.5f);
             // Accumulating entry point: seed c / colSums non-zero.
-            const auto c0 = randomFloats(sh.n * sh.k, 307, 0.25f);
+            const auto c0 = randomFloats(sh.n * ldc, 307, 0.25f);
             const auto s0 = randomFloats(sh.n, 401, 0.25f);
             k::GemmF32Args args;
             args.a = a.data();
-            args.lda = sh.n;
+            args.lda = lda;
             args.b = b.data();
             args.ldb = sh.k;
-            args.ldc = sh.k;
+            args.ldc = ldc;
             args.m = sh.m;
             args.n = sh.n;
             args.k = sh.k;
@@ -866,9 +873,10 @@ TEST(KernelGemmF32, AtBAccumulateTiersBitExact)
                 ops->gemmAtBF32(args);
                 EXPECT_TRUE(bitsEqual(out, ref))
                     << ops->name << " m=" << sh.m << " n=" << sh.n
-                    << " k=" << sh.k;
-                if (with_sums)
+                    << " k=" << sh.k << " lda=" << lda << " ldc=" << ldc;
+                if (with_sums) {
                     EXPECT_TRUE(bitsEqual(sums, refSums)) << ops->name;
+                }
             }
         }
     }
@@ -876,34 +884,46 @@ TEST(KernelGemmF32, AtBAccumulateTiersBitExact)
 
 TEST(KernelGemmF32, ABOverwriteTiersBitExact)
 {
+    // As above, with m = 7 and 10 leaving rows beside the AVX2 tiles.
     const struct
     {
-        std::size_t m, n, k;
-    } shapes[] = {{1, 1, 1}, {3, 7, 5}, {6, 9, 64}, {5, 4, 131},
-                  {2, 31, 3}};
+        std::size_t m, n, k, lda = 0, ldc = 0;
+    } shapes[] = {{1, 1, 1},    {3, 7, 5},     {6, 9, 64},
+                  {5, 4, 131},  {2, 31, 3},    {7, 5, 27},
+                  {7, 3, 200},  {64, 10, 200}, {7, 6, 27, 9, 30}};
     for (const auto &sh : shapes) {
-        const auto a = randomFloats(sh.m * sh.n, 501 + sh.n, 1.5f);
+        const std::size_t lda = sh.lda ? sh.lda : sh.n;
+        const std::size_t ldc = sh.ldc ? sh.ldc : sh.k;
+        const auto a = randomFloats(sh.m * lda, 501 + sh.n, 1.5f);
         const auto b = randomFloats(sh.n * sh.k, 601 + sh.k, 1.5f);
         k::GemmF32Args args;
         args.a = a.data();
-        args.lda = sh.n;
+        args.lda = lda;
         args.b = b.data();
         args.ldb = sh.k;
-        args.ldc = sh.k;
+        args.ldc = ldc;
         args.m = sh.m;
         args.n = sh.n;
         args.k = sh.k;
 
-        std::vector<float> ref(sh.m * sh.k, 99.0f); // must be overwritten
+        // c must be overwritten; the padding past k must not be.
+        std::vector<float> ref(sh.m * ldc, 99.0f);
         args.c = ref.data();
         k::scalarKernels().gemmABF32(args);
         for (const k::KernelOps *ops : k::availableKernels()) {
-            std::vector<float> out(sh.m * sh.k, -99.0f);
+            std::vector<float> out(sh.m * ldc, -99.0f);
             args.c = out.data();
             ops->gemmABF32(args);
+            bool padding_kept = true;
+            for (std::size_t i = 0; i < sh.m; ++i)
+                for (std::size_t t = sh.k; t < ldc; ++t) {
+                    padding_kept &= out[i * ldc + t] == -99.0f;
+                    out[i * ldc + t] = 99.0f;
+                }
+            EXPECT_TRUE(padding_kept) << ops->name;
             EXPECT_TRUE(bitsEqual(out, ref))
                 << ops->name << " m=" << sh.m << " n=" << sh.n
-                << " k=" << sh.k;
+                << " k=" << sh.k << " lda=" << lda << " ldc=" << ldc;
         }
     }
 }

@@ -72,6 +72,25 @@ TEST(McEngineDeathTest, BackendFixesTheSchedule)
                  "backend 'batched' runs per-round");
 }
 
+TEST(McEngineDeathTest, UnknownIdsDieAtConstruction)
+{
+    // Both ids are checked before the first classify, with the
+    // registries' own messages.
+    auto net = makeNet({32, 16, 4}, 3);
+    const auto config = smallConfig(2);
+    const auto program = compile(net, config);
+
+    McEngineConfig bad_backend;
+    bad_backend.backendId = "nope";
+    EXPECT_DEATH(McEngine engine(program, config, bad_backend),
+                 "unknown executor id 'nope'.*registered: ");
+
+    McEngineConfig bad_generator;
+    bad_generator.generatorId = "nope";
+    EXPECT_DEATH(McEngine engine(program, config, bad_generator),
+                 "unknown generator id 'nope'.*registered: ");
+}
+
 TEST(McEngine, MatchesSerialSeedScheduleEmulation)
 {
     // Every (image, sample) unit runs with the stream seeded by

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.hh"
 #include "nn/activations.hh"
@@ -109,6 +113,57 @@ TEST(Activations, SoftplusAndLogistic)
             (2.0f * h);
         EXPECT_NEAR(logistic(x), numeric, 1e-3f);
     }
+}
+
+namespace
+{
+
+std::uint32_t
+floatBits(float x)
+{
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/** Whether softplusLogistic(x) is bitwise softplus(x), logistic(x). */
+bool
+pairMatches(float x)
+{
+    float sp = 0.0f, lg = 0.0f;
+    softplusLogistic(x, sp, lg);
+    return floatBits(sp) == floatBits(softplus(x)) &&
+        floatBits(lg) == floatBits(logistic(x));
+}
+
+} // namespace
+
+TEST(Activations, SoftplusLogisticMatchesSoftplusAndLogistic)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    for (const float x :
+         {0.0f, -0.0f, 20.0f, -20.0f, std::nextafter(20.0f, inf),
+          std::nextafter(20.0f, 0.0f), std::nextafter(-20.0f, -inf),
+          std::nextafter(-20.0f, 0.0f), -88.0f, -104.0f, FLT_MAX,
+          -FLT_MAX, inf, -inf, denorm, -denorm})
+        EXPECT_TRUE(pairMatches(x)) << "x=" << x;
+
+    // Every non-NaN bit pattern at a prime stride: both signs, every
+    // exponent, and both sides of the +-20 switches.
+    std::size_t checked = 0, mismatched = 0;
+    for (std::uint64_t bits = 0; bits <= 0xffffffffu; bits += 997) {
+        const auto b32 = static_cast<std::uint32_t>(bits);
+        float x = 0.0f;
+        std::memcpy(&x, &b32, sizeof x);
+        if (std::isnan(x))
+            continue;
+        ++checked;
+        if (!pairMatches(x) && mismatched++ == 0)
+            ADD_FAILURE() << "first mismatch at x=" << x;
+    }
+    EXPECT_GT(checked, 4000000u);
+    EXPECT_EQ(mismatched, 0u);
 }
 
 TEST(Loss, CrossEntropyGradient)

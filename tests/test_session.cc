@@ -307,8 +307,9 @@ TEST(InferenceSession, AsyncSubmitMatchesSynchronousRunExactly)
         // Whatever the coalescing pattern was, it can never take more
         // passes than requests, and merged passes must be accounted.
         EXPECT_LE(counters.passes, counters.requests);
-        if (counters.maxCoalescedRequests > 1)
+        if (counters.maxCoalescedRequests > 1) {
             EXPECT_GE(counters.coalescedPasses, 1u);
+        }
         // A per-unit stream is seeded by the image's position in its
         // pass, so Fidelity never merges.
         if (mode == ExecMode::Fidelity) {
@@ -410,14 +411,16 @@ TEST(InferenceSession, PerRequestEnsembleSizeOverride)
                 EXPECT_EQ(served.back().mcSamples, t);
                 const std::size_t cached_now =
                     accel::BatchedRunner::drawCacheBytes();
-                if (served.size() == 1)
+                if (served.size() == 1) {
                     cached_after_first = cached_now;
-                else if (cached)
+                } else if (cached) {
                     EXPECT_EQ(cached_now, cached_after_first)
                         << "the T = " << t << " pass cached new rounds";
+                }
             }
-            if (cached)
+            if (cached) {
                 EXPECT_GT(cached_after_first, cached_before);
+            }
 
             for (std::size_t k = 0; k < served.size(); ++k) {
                 const int t = ts[k];

@@ -332,10 +332,11 @@ TEST(SequentialTest, ContinuesWhileContested)
         const float a[2] = {0.9f, 0.1f};
         const float b[2] = {0.1f, 0.9f};
         test.add((s % 2) ? b : a);
-        if (test.samples() >= config.minSamples)
+        if (test.samples() >= config.minSamples) {
             EXPECT_EQ(test.decide(config, 1024),
                       SequentialDecision::Continue)
                 << "sample " << s;
+        }
     }
 }
 
