@@ -83,7 +83,7 @@ main()
             cfg.learningRate = 2e-3f;
             cfg.priorSigma = 0.3f;
             // Tempered KL, as in the Figure 16 / Table 7 benches (see
-            // DESIGN.md finding 6).
+            // docs/ARCHITECTURE.md, "Substitutions").
             cfg.klWeight = 0.3f;
             cfg.evalSamples = 8;
             cfg.seed = seed + 32;

@@ -60,9 +60,10 @@ main()
         bnn_config.batchSize = 16;
         bnn_config.learningRate = 1e-3f;
         bnn_config.priorSigma = 0.3f;
-        // Tempered ELBO on tiny subsets (DESIGN.md finding 6): with
-        // the exact KL weight the posterior of a 40-sample task
-        // correctly stays near the prior and cannot beat the FNN.
+        // Tempered ELBO on tiny subsets (docs/ARCHITECTURE.md,
+        // "Substitutions"): with the exact KL weight the posterior of
+        // a 40-sample task correctly stays near the prior and cannot
+        // beat the FNN.
         bnn_config.klWeight = 0.25f;
         bnn_config.seed = envSeed() + 25;
         trainBnn(bnn, subset.view(), bnn_config);

@@ -101,10 +101,11 @@ main()
         "The battery sharpens the Figure 15 story (see EXPERIMENTS.md):\n"
         " - software baselines and BNNWallace pass the shape tests; the\n"
         "   RLF family's 8-bit binomial lattice plus its bounded-step\n"
-        "   walk (DESIGN.md finding 3) fail shape *and* order tests on\n"
-        "   the pooled stream at n=10k — Ljung-Box sees what the runs\n"
-        "   test only partially sees, quantifying why the paper's\n"
-        "   output multiplexers alone do not make the stream iid.\n"
+        "   walk (docs/ARCHITECTURE.md, \"Substitutions\") fail shape\n"
+        "   *and* order tests on the pooled stream at n=10k — Ljung-Box\n"
+        "   sees what the runs test only partially sees, quantifying\n"
+        "   why the paper's output multiplexers alone do not make the\n"
+        "   stream iid.\n"
         " - Wallace-NSS fails the order tests outright (its Figure 15\n"
         "   row); BNNWallace passes shape but its 256-entry-per-unit\n"
         "   logical pool leaves residual order structure at this n,\n"

@@ -10,8 +10,8 @@
  *    per pass); energy uses the paper's CPU TDP assumption (91 W for
  *    the i7-6700k class).
  *  - GPU row: no GPU exists in this environment; the paper's reported
- *    numbers are printed as reference constants (substitution
- *    documented in DESIGN.md).
+ *    numbers are printed as reference constants (docs/ARCHITECTURE.md,
+ *    "Substitutions").
  */
 
 #include <vector>

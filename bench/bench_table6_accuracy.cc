@@ -3,9 +3,10 @@
  * Reproduces Table 6: accuracy on the MNIST task for FNN+Dropout
  * (software), BNN (software) and VIBNN (8-bit hardware path).
  *
- * Substitution: procedural synthetic MNIST (DESIGN.md) with the paper's
- * 784-200-200-10 topology. Default scale trains on 4000 images and
- * tests on 1000; VIBNN_SCALE=4 roughly matches a full-size run.
+ * Substitution: procedural synthetic MNIST (docs/ARCHITECTURE.md,
+ * "Substitutions") with the paper's 784-200-200-10 topology. Default
+ * scale trains on 4000 images and tests on 1000; VIBNN_SCALE=4
+ * roughly matches a full-size run.
  */
 
 #include "bench_util.hh"

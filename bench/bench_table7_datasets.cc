@@ -4,8 +4,9 @@
  * tasks — FNN (software) vs BNN (software) vs VIBNN (hardware).
  *
  * Substitution: synthetic generators matched to each dataset's feature
- * count, sample count, and class imbalance (DESIGN.md). The paper's
- * reported accuracies are printed alongside.
+ * count, sample count, and class imbalance (docs/ARCHITECTURE.md,
+ * "Substitutions"). The paper's reported accuracies are printed
+ * alongside.
  */
 
 #include "bench_util.hh"
@@ -76,7 +77,8 @@ main()
         bnn_config.epochs = epochs;
         bnn_config.learningRate = 2e-3f;
         bnn_config.priorSigma = 0.3f;
-        bnn_config.klWeight = 0.3f; // tempered ELBO (see DESIGN.md)
+        // Tempered ELBO (docs/ARCHITECTURE.md, "Substitutions").
+        bnn_config.klWeight = 0.3f;
         bnn_config.seed = envSeed() + 13;
         accel::AcceleratorConfig accel_config;
         accel_config.peSets = 2;

@@ -1,4 +1,5 @@
 #include "data/synth_mnist.hh"
+#include "data/synth_mnist_detail.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -9,15 +10,11 @@
 namespace vibnn::data
 {
 
+namespace detail
+{
+
 namespace
 {
-
-struct Point
-{
-    double x, y;
-};
-
-using Polyline = std::vector<Point>;
 
 /** Append an elliptical arc as a polyline (angles in radians, y grows
  *  downward on the canvas). */
@@ -85,25 +82,10 @@ digitStrokes(int digit)
     }
 }
 
-/** Distance from point p to segment ab. */
-double
-pointSegmentDistance(const Point &p, const Point &a, const Point &b)
-{
-    const double vx = b.x - a.x, vy = b.y - a.y;
-    const double wx = p.x - a.x, wy = p.y - a.y;
-    const double vv = vx * vx + vy * vy;
-    double t = vv > 0.0 ? (wx * vx + wy * vy) / vv : 0.0;
-    t = std::clamp(t, 0.0, 1.0);
-    const double dx = p.x - (a.x + t * vx);
-    const double dy = p.y - (a.y + t * vy);
-    return std::sqrt(dx * dx + dy * dy);
-}
-
 } // anonymous namespace
 
-void
-renderDigit(int digit, const SynthMnistConfig &config, Rng &rng,
-            float *out)
+StrokeGeometry
+drawStrokes(int digit, const SynthMnistConfig &config, Rng &rng)
 {
     VIBNN_ASSERT(digit >= 0 && digit < kMnistClasses, "bad digit");
 
@@ -136,37 +118,96 @@ renderDigit(int digit, const SynthMnistConfig &config, Rng &rng,
             p.y = ty + 0.5 + shift_y;
         }
     }
+    return {std::move(strokes), half_width};
+}
 
-    // Rasterize: intensity = smooth falloff of distance to the nearest
-    // stroke, plus additive noise.
+PixelBox
+segmentBox(const Point &a, const Point &b, double reach)
+{
+    // Pixel i's centre sits at (i + 0.5) / kMnistSide. Clamp in double
+    // before converting: a stroke far off the canvas must not overflow
+    // the int.
+    const double margin = reach + kSlack;
+    const auto first = [](double lo) {
+        return static_cast<int>(std::clamp(
+            std::ceil(lo * kMnistSide - 0.5), 0.0, double(kMnistSide)));
+    };
+    const auto last = [](double hi) {
+        return static_cast<int>(std::clamp(
+            std::floor(hi * kMnistSide - 0.5), -1.0, kMnistSide - 1.0));
+    };
+    return {first(std::min(a.x, b.x) - margin),
+            last(std::max(a.x, b.x) + margin),
+            first(std::min(a.y, b.y) - margin),
+            last(std::max(a.y, b.y) + margin)};
+}
+
+void
+rasterize(const StrokeGeometry &geometry, const SynthMnistConfig &config,
+          Rng &rng, float *out)
+{
     const double inv_side = 1.0 / kMnistSide;
-    for (int py = 0; py < kMnistSide; ++py) {
-        for (int px = 0; px < kMnistSide; ++px) {
-            const Point p{(px + 0.5) * inv_side, (py + 0.5) * inv_side};
-            double distance = 1e9;
-            for (const auto &line : strokes) {
-                for (std::size_t i = 0; i + 1 < line.size(); ++i) {
-                    distance = std::min(
-                        distance,
-                        pointSegmentDistance(p, line[i], line[i + 1]));
+    const double half_width = geometry.halfWidth;
+    const double reach = half_width + kFalloff;
+
+    // Segment-major: each segment keeps, in every pixel of its box, the
+    // smallest squared distance to a stroke so far. A segment skips only
+    // pixels farther from it than `reach`, which it cannot light, so the
+    // image equals the one from testing every segment against every
+    // pixel (docs/ARCHITECTURE.md, "Substitutions").
+    double dist2[kMnistPixels];
+    std::fill(dist2, dist2 + kMnistPixels, HUGE_VAL);
+    for (const auto &line : geometry.strokes) {
+        for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+            const Point &a = line[i], &b = line[i + 1];
+            const double vx = b.x - a.x, vy = b.y - a.y;
+            const double vv = vx * vx + vy * vy;
+            const PixelBox box = segmentBox(a, b, reach);
+            for (int py = box.y0; py <= box.y1; ++py) {
+                const double y = (py + 0.5) * inv_side;
+                const double wy = y - a.y;
+                double *row = dist2 + py * kMnistSide;
+                for (int px = box.x0; px <= box.x1; ++px) {
+                    const double x = (px + 0.5) * inv_side;
+                    const double wx = x - a.x;
+                    double t = vv > 0.0 ? (wx * vx + wy * vy) / vv : 0.0;
+                    t = std::clamp(t, 0.0, 1.0);
+                    const double dx = x - (a.x + t * vx);
+                    const double dy = y - (a.y + t * vy);
+                    row[px] = std::min(row[px], dx * dx + dy * dy);
                 }
             }
-            // Soft-edged stroke: full intensity inside half_width,
-            // linear falloff over one more pixel.
-            const double falloff = 1.2 * inv_side;
-            double value;
-            if (distance <= half_width) {
-                value = 1.0;
-            } else if (distance <= half_width + falloff) {
-                value = 1.0 - (distance - half_width) / falloff;
-            } else {
-                value = 0.0;
-            }
-            value += rng.gaussian(0.0, config.pixelNoise);
-            out[py * kMnistSide + px] =
-                static_cast<float>(std::clamp(value, 0.0, 1.0));
         }
     }
+
+    // Intensity = smooth falloff of distance to the nearest stroke,
+    // plus additive noise. sqrt is monotone and correctly rounded, so
+    // the root of the smallest squared distance is the smallest
+    // distance. Soft-edged stroke: full intensity inside half_width,
+    // linear falloff over 1.2 more pixels; a pixel no segment reached
+    // is 0 before its noise.
+    for (int i = 0; i < kMnistPixels; ++i) {
+        double value = 0.0;
+        if (dist2[i] != HUGE_VAL) {
+            const double distance = std::sqrt(dist2[i]);
+            if (distance <= half_width)
+                value = 1.0;
+            else if (distance <= reach)
+                value = 1.0 - (distance - half_width) / kFalloff;
+        }
+        value += rng.gaussian(0.0, config.pixelNoise);
+        out[i] = static_cast<float>(std::clamp(value, 0.0, 1.0));
+    }
+}
+
+} // namespace detail
+
+void
+renderDigit(int digit, const SynthMnistConfig &config, Rng &rng,
+            float *out)
+{
+    detail::rasterize(detail::drawStrokes(digit, config, rng), config, rng,
+                      out);
 }
 
 Dataset

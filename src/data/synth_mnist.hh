@@ -12,7 +12,8 @@
  * distinct sample; the within-class variation is tuned so a
  * 784-200-200-10 MLP lands in the high-90s accuracy regime like real
  * MNIST, which is the regime the paper's comparisons live in. See
- * DESIGN.md ("Substitutions") for the fidelity argument.
+ * docs/ARCHITECTURE.md ("Substitutions") for the fidelity argument and
+ * how the digits are rasterized.
  */
 
 #ifndef VIBNN_DATA_SYNTH_MNIST_HH

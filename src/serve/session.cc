@@ -532,13 +532,7 @@ InferenceSession::Builder::build()
     if (!opts.seed)
         opts.seed = state_->sourceSeed ? *state_->sourceSeed : 1;
 
-    const auto grng_ids = grng::generatorIds();
-    if (std::find(grng_ids.begin(), grng_ids.end(), opts.grngId) ==
-        grng_ids.end()) {
-        fatal("InferenceSession::Builder: unknown GRNG id '" +
-              opts.grngId + "' (registered: " + joinStrings(grng_ids) +
-              ")");
-    }
+    grng::requireGeneratorId(opts.grngId);
 
     if (opts.adaptive.enabled) {
         // Early exit retires images between weight-reuse rounds (see

@@ -365,9 +365,10 @@ class InferenceSession
         Builder &maxBatchImages(std::size_t images);
 
         /** Validate and construct. fatal() on: no model source, an
-         *  unloadable program file, an unknown GRNG id (the registered
-         *  ids are listed), T < 1, or a program that fails geometry
-         *  validation against the accelerator config. */
+         *  unloadable program file, an unknown GRNG id (in
+         *  grng::requireGeneratorId's words, which list the registered
+         *  ids), T < 1, or a program that fails geometry validation
+         *  against the accelerator config. */
         std::unique_ptr<InferenceSession> build();
 
       private:

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "data/dataset.hh"
 #include "data/synth_mnist.hh"
+#include "data/synth_mnist_detail.hh"
 #include "data/tabular.hh"
 
 using namespace vibnn;
@@ -124,6 +127,159 @@ TEST(SynthMnist, AsciiRendering)
     const std::string art = asciiDigit(img);
     EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 28);
     EXPECT_NE(art.find('@'), std::string::npos); // some full-intensity ink
+}
+
+namespace
+{
+
+/** Distance from point p to segment ab: the rasterizer's projection,
+ *  clamp and squared remainder, then one square root. */
+double
+pointSegmentDistance(const detail::Point &p, const detail::Point &a,
+                     const detail::Point &b)
+{
+    const double vx = b.x - a.x, vy = b.y - a.y;
+    const double wx = p.x - a.x, wy = p.y - a.y;
+    const double vv = vx * vx + vy * vy;
+    double t = vv > 0.0 ? (wx * vx + wy * vy) / vv : 0.0;
+    t = std::clamp(t, 0.0, 1.0);
+    const double dx = p.x - (a.x + t * vx);
+    const double dy = p.y - (a.y + t * vy);
+    return std::sqrt(dx * dx + dy * dy);
+}
+
+bool
+inBox(const detail::PixelBox &box, int px, int py)
+{
+    return px >= box.x0 && px <= box.x1 && py >= box.y0 && py <= box.y1;
+}
+
+/**
+ * Brute-force rasterizer: every pixel against every segment, one sqrt
+ * each, then the minimum, then the falloff rule and one noise draw per
+ * pixel in row-major order. Also checks the premise of the library's
+ * segment-major loop: a pixel outside a segment's box is farther from
+ * the segment than half width + falloff, by the slack.
+ */
+void
+bruteForceRasterize(const detail::StrokeGeometry &geometry,
+                    const SynthMnistConfig &config, Rng &rng, float *out)
+{
+    struct Segment
+    {
+        detail::Point a, b;
+        detail::PixelBox box;
+    };
+    const double inv_side = 1.0 / kMnistSide;
+    const double half_width = geometry.halfWidth;
+    const double falloff = 1.2 * inv_side;
+    std::vector<Segment> segments;
+    for (const auto &line : geometry.strokes) {
+        for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+            segments.push_back(
+                {line[i], line[i + 1],
+                 detail::segmentBox(line[i], line[i + 1],
+                                    half_width + falloff)});
+        }
+    }
+    for (int py = 0; py < kMnistSide; ++py) {
+        for (int px = 0; px < kMnistSide; ++px) {
+            const detail::Point p{(px + 0.5) * inv_side,
+                                  (py + 0.5) * inv_side};
+            double distance = 1e9;
+            for (const auto &s : segments) {
+                const double d = pointSegmentDistance(p, s.a, s.b);
+                distance = std::min(distance, d);
+                if (!inBox(s.box, px, py)) {
+                    // Up to rounding, which the slack absorbs.
+                    ASSERT_GT(d, half_width + falloff + detail::kSlack -
+                                     1e-9)
+                        << "pixel (" << px << ", " << py << ")";
+                }
+            }
+            double value;
+            if (distance <= half_width)
+                value = 1.0;
+            else if (distance <= half_width + falloff)
+                value = 1.0 - (distance - half_width) / falloff;
+            else
+                value = 0.0;
+            value += rng.gaussian(0.0, config.pixelNoise);
+            out[py * kMnistSide + px] =
+                static_cast<float>(std::clamp(value, 0.0, 1.0));
+        }
+    }
+}
+
+} // namespace
+
+TEST(SynthMnist, RasterizerMatchesBruteForce)
+{
+    // The default config, then edge configs: thin to thick strokes
+    // under heavy rotation, scaling and shift; strokes that leave the
+    // canvas; strokes far off it (the pixel range is bounded before
+    // its int conversion); noise-free axis-aligned strokes; and
+    // zero-length segments.
+    std::vector<SynthMnistConfig> configs(7);
+    configs[1].minThickness = 0.1;
+    configs[1].maxThickness = 4.0;
+    configs[1].maxShift = 6.0;
+    configs[1].maxRotation = 1.5;
+    configs[1].minScale = 0.3;
+    configs[1].maxScale = 1.6;
+    configs[2].maxShift = 30.0;
+    configs[2].vertexJitter = 0.2;
+    configs[2].maxThickness = 4.0;
+    configs[3].maxShift = 1e7;
+    configs[4].vertexJitter = 50.0;
+    configs[5].vertexJitter = 0.0;
+    configs[5].maxRotation = configs[5].maxShear = 0.0;
+    configs[5].minScale = configs[5].maxScale = 1.0;
+    configs[5].maxShift = 0.0;
+    configs[5].pixelNoise = 0.0;
+    configs[6].vertexJitter = 0.0;
+    configs[6].minScale = configs[6].maxScale = 0.0;
+    configs[6].pixelNoise = 0.0;
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (int digit = 0; digit < kMnistClasses; ++digit) {
+            for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+                Rng lib(seed), ref(seed);
+                float got[kMnistPixels], want[kMnistPixels];
+                renderDigit(digit, configs[c], lib, got);
+                bruteForceRasterize(
+                    detail::drawStrokes(digit, configs[c], ref),
+                    configs[c], ref, want);
+                ASSERT_FALSE(HasFatalFailure())
+                    << "config " << c << " digit " << digit << " seed "
+                    << seed;
+                ASSERT_EQ(std::memcmp(got, want, sizeof got), 0)
+                    << "config " << c << " digit " << digit << " seed "
+                    << seed;
+                // Same number of draws on both sides.
+                ASSERT_EQ(lib.next(), ref.next());
+            }
+        }
+    }
+
+    // Boxes of segments far off the canvas are empty; one across it
+    // spans it.
+    const double reach = 2.0 / kMnistSide;
+    for (const double far : {2.0, 1e7, 1e300}) {
+        for (const auto &[a, b] :
+             {std::pair<detail::Point, detail::Point>{{far, 0.5},
+                                                      {far, 0.6}},
+              {{-far, 0.5}, {-far, 0.6}},
+              {{0.5, far}, {0.6, far}},
+              {{0.5, -far}, {0.6, -far}}}) {
+            const auto box = detail::segmentBox(a, b, reach);
+            EXPECT_TRUE(box.x0 > box.x1 || box.y0 > box.y1) << far;
+        }
+        const auto across =
+            detail::segmentBox({-far, 0.5}, {far, 0.5}, reach);
+        EXPECT_EQ(across.x0, 0);
+        EXPECT_EQ(across.x1, kMnistSide - 1);
+    }
 }
 
 TEST(StratifiedFraction, KeepsPerClassShare)

@@ -549,7 +549,7 @@ TEST(SessionValidationDeathTest, BuilderRejectsBadInput)
     EXPECT_DEATH((void)InferenceSession::Builder().build(),
                  "no model source");
     EXPECT_DEATH((void)smallBuilder(config).grng("no-such-grng").build(),
-                 "unknown GRNG id.*registered:.*rlf");
+                 "unknown generator id.*registered:.*rlf");
     EXPECT_DEATH((void)smallBuilder(config).mcSamples(-2).build(),
                  "mcSamples must be >= 0");
     EXPECT_DEATH((void)InferenceSession::Builder()
