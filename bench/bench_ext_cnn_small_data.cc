@@ -122,7 +122,7 @@ main()
         "weight sharing already regularizes what the Bayesian ensemble\n"
         "would otherwise have to: the overfitting the BNN rescues the\n"
         "784-200-200-10 MLP from largely never happens to a LeNet.\n"
-        "This is an honest deviation, analyzed in EXPERIMENTS.md.\n"
+        "This is an honest deviation from the paper's MLP result.\n"
         "The 'accel acc' column runs the same posterior end-to-end on\n"
         "the compiled QuantizedProgram (8-bit cycle-level path); it\n"
         "should track the float BayesCNN column within MC noise.\n");

@@ -128,6 +128,7 @@ main()
         "pool size; BNNWallace becomes comparable to software as the\n"
         "logical pool grows; Wallace-NSS fails (the ~0.5 port-lag\n"
         "spike). The raw RLF stream keeps the bounded-step correlation\n"
-        "the paper itself flags (Section 4.1.2); see EXPERIMENTS.md.\n");
+        "the paper itself flags (Section 4.1.2); see docs/ARCHITECTURE.md,\n"
+        "\"The RLF lattice in the GRNG battery\".\n");
     return 0;
 }

@@ -98,7 +98,7 @@ main()
         "\nReading: pass rates are fractions of %zu repetitions at "
         "alpha=0.05\n(~0.95 expected for an ideal generator; 0.00 = "
         "systematic failure).\n"
-        "The battery sharpens the Figure 15 story (see EXPERIMENTS.md):\n"
+        "The battery sharpens the Figure 15 story (bench_fig15_randomness):\n"
         " - software baselines and BNNWallace pass the shape tests; the\n"
         "   RLF family's 8-bit binomial lattice plus its bounded-step\n"
         "   walk (docs/ARCHITECTURE.md, \"Substitutions\") fail shape\n"

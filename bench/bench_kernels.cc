@@ -5,7 +5,9 @@
  * fixed-point GEMM (with and without the int16 madd fast path), the
  * fused mu + sigma * eps weight draw, and the double->fixed eps
  * conversion — plus the three float32 GEMMs of batched training
- * (forward, dW = dy^T x, dx = dy W) at the layer-0 training shape.
+ * (forward, dW = dy^T x, dx = dy W) at the layer-0 training shape, and
+ * the training step's plane op (rho -> sigma, dsigma/drho, sigma^2) and
+ * KL op over the 784-200-200-10 network's 199,210 parameters.
  * Every tier compiled into the binary and supported by
  * this CPU gets a row, with the dispatch-selected tier marked; all
  * tiers are ctest-pinned bit-exact, so the only difference between
@@ -183,12 +185,26 @@ main()
     ab.colSums = nullptr;
     const double f32_macs = static_cast<double>(fm) * fn * fk;
 
+    // The plane and KL ops over every parameter of 784-200-200-10 as
+    // one flat call each; rho around the trainer's initial -5.
+    const std::size_t np =
+        784 * 200 + 200 + 200 * 200 + 200 + 200 * 10 + 10;
+    std::vector<float> rho_p(np), sig_p(np), dsig_p(np), sig_sq_p(np),
+        gmu_p(np, 0.0f), grho_p(np, 0.0f);
+    {
+        Rng rng(16);
+        for (auto &r : rho_p)
+            r = static_cast<float>(rng.uniform(-6.0, -3.0));
+    }
+    const auto mu_p = f32(np, 17);
+    const k::KlArgs kl_args = k::klArgs(0.3f, 1e-4f);
+
     bench::JsonReport report;
     TextTable table;
     table.setHeader({"tier", "GEMM s32 GMAC/s", "GEMM s16 GMAC/s",
                      "sample M/s", "eps conv M/s", "rlf eps M/s",
                      "f32 fwd GMAC/s", "f32 AtB GMAC/s",
-                     "f32 AB GMAC/s"});
+                     "f32 AB GMAC/s", "planes M/s", "KL M/s"});
     for (const auto *tier : k::availableKernels()) {
         gemm.weights16 = nullptr;
         gemm.acts16 = nullptr;
@@ -223,6 +239,14 @@ main()
             rate([&] { tier->gemmAtBF32(atb); }) * f32_macs / 1e9;
         const double f32_ab =
             rate([&] { tier->gemmABF32(ab); }) * f32_macs / 1e9;
+        const double planes = rate([&] {
+            tier->sigmaPlanes(rho_p.data(), sig_p.data(), dsig_p.data(),
+                              sig_sq_p.data(), np);
+        }) * static_cast<double>(np) / 1e6;
+        const double kl = rate([&] {
+            tier->klSumGrad(mu_p.data(), sig_p.data(), dsig_p.data(),
+                            gmu_p.data(), grho_p.data(), np, kl_args, 0.0);
+        }) * static_cast<double>(np) / 1e6;
 
         const bool active =
             std::string(tier->name) == k::activeKernelName();
@@ -230,7 +254,8 @@ main()
                       strfmt("%.2f", gemm32), strfmt("%.2f", gemm16),
                       strfmt("%.1f", sample), strfmt("%.1f", conv),
                       strfmt("%.1f", rlf_eps), strfmt("%.2f", f32_fwd),
-                      strfmt("%.2f", f32_atb), strfmt("%.2f", f32_ab)});
+                      strfmt("%.2f", f32_atb), strfmt("%.2f", f32_ab),
+                      strfmt("%.1f", planes), strfmt("%.1f", kl)});
         report.add(bench::JsonRecord()
                        .field("bench", "kernels")
                        .field("section", "kernels")
@@ -243,11 +268,15 @@ main()
                        .field("rlf_eps_ms", rlf_eps)
                        .field("gemm_f32_gmacs", f32_fwd)
                        .field("gemm_atb_f32_gmacs", f32_atb)
-                       .field("gemm_ab_f32_gmacs", f32_ab));
+                       .field("gemm_ab_f32_gmacs", f32_ab)
+                       .field("sigma_planes_ms", planes)
+                       .field("kl_sum_grad_ms", kl));
     }
     table.print();
     std::printf("\n(* = dispatch-selected; s16 column falls back to the "
-                "s32 path on tiers without a madd kernel)\n");
+                "s32 path on tiers without a madd kernel; planes and KL "
+                "count parameters, %zu per call)\n",
+                np);
     report.write();
     return 0;
 }

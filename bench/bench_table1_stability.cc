@@ -8,11 +8,10 @@
  * deviation of the per-window mean from 0 and of the per-window
  * standard deviation from 1, plus the whole-stream values. The paper's
  * reported numbers are printed alongside. The paper's exact metric is
- * not specified precisely enough to reproduce its absolute values —
- * see EXPERIMENTS.md for the full analysis — but the ordering it
- * demonstrates is reproduced: software Wallace improves with pool
- * size, the naive hardware port is the outlier, and the proposed
- * designs match the largest software pool.
+ * not specified precisely enough to reproduce its absolute values, but
+ * the ordering it demonstrates is reproduced: software Wallace
+ * improves with pool size, the naive hardware port is the outlier, and
+ * the proposed designs match the largest software pool.
  */
 
 #include <cmath>

@@ -6,8 +6,9 @@
  * it prints the measured values next to the paper's reported ones, and
  * honours three environment knobs:
  *   VIBNN_SCALE      — multiplies workload sizes (default 1 = laptop
- *                      scale; see EXPERIMENTS.md for what each scale
- *                      covers),
+ *                      scale; each bench scales its own sample counts,
+ *                      epochs or repetitions and prints the scale in
+ *                      its banner),
  *   VIBNN_SEED       — master seed,
  *   VIBNN_BENCH_JSON — when set to a path, benches that support it
  *                      also emit their measurements as a JSON array of

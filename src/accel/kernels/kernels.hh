@@ -27,6 +27,11 @@
  * decision is a pure performance choice, never a semantic one
  * (docs/ARCHITECTURE.md documents the contract).
  *
+ * The training path adds the f32 GEMMs, the fused Adam step, and the
+ * plane and KL ops built on this layer's softplus / logistic / ln, the
+ * repository's one definition of those functions (see softplus()
+ * below).
+ *
  * Integer dot products are order-invariant (64-bit accumulation never
  * overflows for any format the datapath admits, and saturation happens
  * only in the finish stage), which is what makes wide/reordered SIMD
@@ -265,6 +270,26 @@ struct AdamStepArgs
     float gradScale = 1.0f;
 };
 
+/**
+ * Constants of the KL op: per element, the KL term of a factorized
+ * Gaussian posterior against a zero-mean Gaussian prior,
+ *   KL(N(mu, s^2) || N(0, p^2)) = ((ln p - ln s) + (s^2 + mu^2) / (2 p^2))
+ *                                 - 1/2
+ * in double (s^2 and mu^2 exact, ln by kernels::ln), and its gradient
+ * in float (no contraction, identical on every tier):
+ *   gmu  += (scale * mu) * (1 / p^2)
+ *   grho += (scale * (s * (1 / p^2) - 1 / s)) * ds
+ * A NaN term is returned as quiet_NaN(), so a sum holding one is the
+ * same NaN on every tier. Build with klArgs().
+ */
+struct KlArgs
+{
+    double logPrior = 0.0;
+    double twoPriorVar = 2.0;
+    float invPriorVar = 1.0f;
+    float scale = 0.0f;
+};
+
 /** One dispatch tier: a named table of kernel entry points. */
 struct KernelOps
 {
@@ -341,6 +366,20 @@ struct KernelOps
     void (*adamStepF32)(float *params, const float *grads, float *m,
                         float *v, std::size_t n,
                         const AdamStepArgs &args);
+
+    /** The plane op: sigma[i] = softplus(rho[i]) and dsigma[i] =
+     *  logistic(rho[i]), bitwise kernels::softplusLogistic, plus
+     *  sigmaSq[i] = sigma[i] * sigma[i] when sigmaSq is non-null. */
+    void (*sigmaPlanes)(const float *rho, float *sigma, float *dsigma,
+                        float *sigmaSq, std::size_t n);
+
+    /** The KL op: adds each element's KL gradient (see KlArgs) to
+     *  gmu[i] and grho[i] and returns acc plus the elements' KL terms,
+     *  added one at a time in index order — KlSum's sum, so a layer's
+     *  weights then biases continue one accumulator. */
+    double (*klSumGrad)(const float *mu, const float *sigma,
+                        const float *dsigma, float *gmu, float *grho,
+                        std::size_t n, const KlArgs &args, double acc);
 };
 
 /** The shared finish stage: bias add on the accumulator grid, optional
@@ -359,6 +398,38 @@ gemmFinish(std::int64_t acc, std::int64_t bias_raw, const GemmFinish &f)
         return f.outMin;
     return static_cast<std::int32_t>(v);
 }
+
+/**
+ * The repository's one definition of softplus, logistic and ln — the
+ * scalar reference the plane and KL ops of every tier match bit for
+ * bit. Each is evaluated in double with a fixed operation sequence (a
+ * range-reduced exp polynomial, an atanh-series log) and rounded to
+ * float once; no libm call, so no result depends on the host's libm.
+ *
+ *   softplus(x) = ln(1 + e^x): x for x > 20, e^x for x < -20;
+ *                 softplus(+inf) = +inf, softplus(-inf) = 0
+ *   logistic(x) = 1 / (1 + e^-x) = d softplus / dx
+ *   ln(x)       = natural log of a float, in double; ln(0) = -inf,
+ *                 ln(+inf) = +inf, NaN for x < 0
+ *
+ * NaN maps to NaN. softplusLogistic computes both of the first two
+ * from one exp, bitwise equal to the single functions.
+ */
+float softplus(float x);
+float logistic(float x);
+void softplusLogistic(float x, float &sp, float &lg);
+double ln(float x);
+
+/** KlArgs for prior standard deviation `prior_sigma` (fatal unless
+ *  positive) and a finite gradient scale `scale`. */
+KlArgs klArgs(float prior_sigma, float scale);
+
+/** One element's KL term (see KlArgs), in double. */
+double klTerm(float mu, float sigma, const KlArgs &args);
+
+/** One element's KL gradient (see KlArgs), added to gmu and grho. */
+void klGrad(float mu, float sigma, float dsigma, float &gmu, float &grho,
+            const KlArgs &args);
 
 /** The portable reference tier (always available). */
 const KernelOps &scalarKernels();

@@ -684,6 +684,13 @@ adamStepF32Avx2(float *params, const float *grads, float *m, float *v,
 
 } // namespace
 
+// The plane and KL ops live in kernels_avx2_sigma.cc.
+void sigmaPlanesAvx2(const float *rho, float *sigma, float *dsigma,
+                     float *sigma_sq, std::size_t n);
+double klSumGradAvx2(const float *mu, const float *sigma,
+                     const float *dsigma, float *gmu, float *grho,
+                     std::size_t n, const KlArgs &args, double acc);
+
 const KernelOps &
 avx2Kernels()
 {
@@ -692,7 +699,7 @@ avx2Kernels()
         &sampleWeightsAvx2, &packInt16Avx2,    &gemmBatchAvx2,
         &rlfCycleCountsAvx2, &wallacePassAvx2,
         &gemmBatchF32Avx2, &gemmAtBF32Avx2,    &gemmABF32Avx2,
-        &adamStepF32Avx2,
+        &adamStepF32Avx2,  &sigmaPlanesAvx2,   &klSumGradAvx2,
     };
     return ops;
 }

@@ -2,10 +2,14 @@
  * @file
  * Portable scalar tier — the semantic reference every SIMD tier is
  * tested bit-exact against. Compiled everywhere, no ISA assumptions.
+ * Also the home of the repository's softplus, logistic and ln
+ * (kernels.hh): nn:: and bnn:: call these, so every sigma is computed
+ * by this TU's -ffp-contract=off code.
  */
 
 #include "accel/kernels/kernels.hh"
 #include "accel/kernels/kernels_detail.hh"
+#include "common/logging.hh"
 
 namespace vibnn::accel::kernels
 {
@@ -137,7 +141,80 @@ adamStepF32Scalar(float *params, const float *grads, float *m, float *v,
         detail::adamOneF32(params[i], grads[i], m[i], v[i], args);
 }
 
+void
+sigmaPlanesScalar(const float *rho, float *sigma, float *dsigma,
+                  float *sigma_sq, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        detail::sigmaPlanesOne(rho[i], sigma[i], dsigma[i],
+                               sigma_sq ? sigma_sq + i : nullptr);
+}
+
+double
+klSumGradScalar(const float *mu, const float *sigma, const float *dsigma,
+                float *gmu, float *grho, std::size_t n, const KlArgs &args,
+                double acc)
+{
+    return detail::klSumGradTail(mu, sigma, dsigma, gmu, grho, 0, n, args,
+                                 acc);
+}
+
 } // namespace
+
+float
+softplus(float x)
+{
+    return detail::softplusOf<detail::ScalarLanes>(
+        x, detail::expNegAbs<detail::ScalarLanes>(x));
+}
+
+float
+logistic(float x)
+{
+    return detail::logisticOf<detail::ScalarLanes>(
+        x, detail::expNegAbs<detail::ScalarLanes>(x));
+}
+
+void
+softplusLogistic(float x, float &sp, float &lg)
+{
+    detail::sigmaPlanesOne(x, sp, lg, nullptr);
+}
+
+double
+ln(float x)
+{
+    return detail::lnOf<detail::ScalarLanes>(x);
+}
+
+KlArgs
+klArgs(float prior_sigma, float scale)
+{
+    if (!(prior_sigma > 0.0f))
+        fatal("the KL prior sigma must be positive");
+    VIBNN_ASSERT(std::isfinite(scale),
+                 "the KL gradient scale must be finite");
+    KlArgs a;
+    a.logPrior = ln(prior_sigma);
+    a.twoPriorVar = 2.0 * (static_cast<double>(prior_sigma) * prior_sigma);
+    a.invPriorVar = 1.0f / (prior_sigma * prior_sigma);
+    a.scale = scale;
+    return a;
+}
+
+double
+klTerm(float mu, float sigma, const KlArgs &args)
+{
+    return detail::klTermOf<detail::ScalarLanes>(mu, sigma, args);
+}
+
+void
+klGrad(float mu, float sigma, float dsigma, float &gmu, float &grho,
+       const KlArgs &args)
+{
+    detail::klGradOf<detail::ScalarLanes>(mu, sigma, dsigma, gmu, grho,
+                                          args);
+}
 
 const KernelOps &
 scalarKernels()
@@ -147,7 +224,7 @@ scalarKernels()
         &sampleWeightsScalar, &packInt16Scalar,   &gemmBatchScalar,
         &rlfCycleCountsScalar, &wallacePassScalarTier,
         &gemmBatchF32Scalar, &gemmAtBF32Scalar,   &gemmABF32Scalar,
-        &adamStepF32Scalar,
+        &adamStepF32Scalar,  &sigmaPlanesScalar,  &klSumGradScalar,
     };
     return ops;
 }

@@ -345,6 +345,84 @@ adamStepF32Sse4(float *params, const float *grads, float *m, float *v,
         detail::adamOneF32(params[i], grads[i], m[i], v[i], a);
 }
 
+/**
+ * The plane and KL ops on two double lanes: kernels_detail.hh's generic
+ * bodies over GCC vector types. The float side is a four-lane vector
+ * whose upper two lanes are loaded as zero and never stored, so each
+ * float lane pairs with the double lane of the same index.
+ */
+typedef float V4F __attribute__((vector_size(16)));
+typedef double V2D __attribute__((vector_size(16)));
+typedef std::uint64_t V2U __attribute__((vector_size(16)));
+
+struct Sse4Lanes
+{
+    using F = V4F;
+    using D = V2D;
+    using U = V2U;
+
+    static D widen(F x) { return (D)_mm_cvtps_pd((__m128)x); }
+    static F narrow(D x) { return (F)_mm_cvtpd_ps((__m128d)x); }
+    static U bits(D x) { return (U)x; }
+    static D fromBits(U u) { return (D)u; }
+    static D splat(double v) { return (D)_mm_set1_pd(v); }
+};
+
+V4F
+load2(const float *p)
+{
+    return (V4F)_mm_castsi128_ps(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
+}
+
+void
+store2(float *p, V4F v)
+{
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(p),
+                     _mm_castps_si128((__m128)v));
+}
+
+void
+sigmaPlanesSse4(const float *rho, float *sigma, float *dsigma,
+                float *sigma_sq, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+        const V4F x = load2(rho + i);
+        const V2D t = detail::expNegAbs<Sse4Lanes>(x);
+        const V4F s = detail::softplusOf<Sse4Lanes>(x, t);
+        store2(sigma + i, s);
+        store2(dsigma + i, detail::logisticOf<Sse4Lanes>(x, t));
+        if (sigma_sq)
+            store2(sigma_sq + i, s * s);
+    }
+    for (; i < n; ++i)
+        detail::sigmaPlanesOne(rho[i], sigma[i], dsigma[i],
+                               sigma_sq ? sigma_sq + i : nullptr);
+}
+
+double
+klSumGradSse4(const float *mu, const float *sigma, const float *dsigma,
+              float *gmu, float *grho, std::size_t n, const KlArgs &args,
+              double acc)
+{
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+        const V4F m = load2(mu + i);
+        const V4F s = load2(sigma + i);
+        const V2D term = detail::klTermOf<Sse4Lanes>(m, s, args);
+        acc += term[0];
+        acc += term[1];
+        V4F gm = load2(gmu + i);
+        V4F gr = load2(grho + i);
+        detail::klGradOf<Sse4Lanes>(m, s, load2(dsigma + i), gm, gr, args);
+        store2(gmu + i, gm);
+        store2(grho + i, gr);
+    }
+    return detail::klSumGradTail(mu, sigma, dsigma, gmu, grho, i, n, args,
+                                 acc);
+}
+
 } // namespace
 
 const KernelOps &
@@ -355,7 +433,7 @@ sse4Kernels()
         &sampleWeightsSse4, &packInt16Sse4,    &gemmBatchSse4,
         &rlfCycleCountsSse4, &wallacePassSse4,
         &gemmBatchF32Sse4, &gemmAtBF32Sse4,    &gemmABF32Sse4,
-        &adamStepF32Sse4,
+        &adamStepF32Sse4,  &sigmaPlanesSse4,   &klSumGradSse4,
     };
     return ops;
 }

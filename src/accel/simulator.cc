@@ -346,8 +346,8 @@ Simulator::runPass(const float *x)
         stats_.opCycles.assign(program_.ops.size(), 0);
 
     // Load the quantized image into the active IFMem (backdoor: the
-    // external-memory transfer is pipelined with compute and is not
-    // part of the per-image cycle count; see EXPERIMENTS.md).
+    // external-memory transfer of the next image overlaps the current
+    // pass, so it is not part of the per-image cycle count).
     activeIfmem_ = 0;
     const std::size_t in_dim = program_.inputDim();
     for (std::size_t w = 0; w * n < in_dim; ++w) {

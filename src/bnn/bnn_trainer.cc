@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "nn/activations.hh"
 #include "nn/loss.hh"
 
 namespace vibnn::bnn
@@ -300,16 +299,11 @@ struct BnnBatchTrainer::Impl
             const float *rhoW = ls[l].rhoWeight().data().data();
             const float *rhoB = ls[l].rhoBias().data();
             const std::size_t w = st.out * st.in;
-            for (std::size_t i = 0; i < w; ++i)
-                nn::softplusLogistic(rhoW[i], st.sigmaW[i], st.dSigmaW[i]);
-            for (std::size_t i = 0; i < st.out; ++i)
-                nn::softplusLogistic(rhoB[i], st.sigmaB[i], st.dSigmaB[i]);
-            if (cfg.estimator == BnnEstimator::LocalReparam) {
-                for (std::size_t i = 0; i < w; ++i)
-                    st.sigmaSqW[i] = st.sigmaW[i] * st.sigmaW[i];
-                for (std::size_t i = 0; i < st.out; ++i)
-                    st.sigmaSqB[i] = st.sigmaB[i] * st.sigmaB[i];
-            }
+            const bool lrt = cfg.estimator == BnnEstimator::LocalReparam;
+            ops.sigmaPlanes(rhoW, st.sigmaW.data(), st.dSigmaW.data(),
+                            lrt ? st.sigmaSqW.data() : nullptr, w);
+            ops.sigmaPlanes(rhoB, st.sigmaB.data(), st.dSigmaB.data(),
+                            lrt ? st.sigmaSqB.data() : nullptr, st.out);
             if (cfg.quantizeAware) {
                 const auto &wf = cfg.qatWeight;
                 ops.quantizeFloat(
@@ -762,14 +756,23 @@ BnnBatchTrainer::applyKlAndStep(std::size_t batch,
     Impl &im = *impl_;
     const float kl_scale = im.cfg.klWeight * static_cast<float>(batch) /
         static_cast<float>(dataset_size);
+    const ak::KlArgs kl_args = ak::klArgs(im.cfg.priorSigma, kl_scale);
     double kl = 0.0;
     const auto &ls = im.net.layers();
     for (std::size_t l = 0; l < ls.size(); ++l) {
         const Impl::Layer &st = im.layers[l];
-        kl += ls[l].klValueAndGrad(im.cfg.priorSigma, kl_scale,
-                                   {st.sigmaW.data(), st.dSigmaW.data(),
-                                    st.sigmaB.data(), st.dSigmaB.data()},
-                                   im.grads[l]);
+        VariationalGradients &g = im.grads[l];
+        // One accumulator over the weights, then the biases: the
+        // layer's klDivergence sum.
+        double layer_kl = im.ops.klSumGrad(
+            ls[l].muWeight().data().data(), st.sigmaW.data(),
+            st.dSigmaW.data(), g.muWeight.data().data(),
+            g.rhoWeight.data().data(), st.out * st.in, kl_args, 0.0);
+        layer_kl = im.ops.klSumGrad(ls[l].muBias().data(), st.sigmaB.data(),
+                                    st.dSigmaB.data(), g.muBias.data(),
+                                    g.rhoBias.data(), st.out, kl_args,
+                                    layer_kl);
+        kl += layer_kl;
     }
 
     const float inv = 1.0f / static_cast<float>(batch);

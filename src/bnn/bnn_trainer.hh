@@ -189,8 +189,9 @@ class BnnBatchTrainer
                        const std::size_t *indices, std::size_t batch);
 
     /** Add the KL term (value returned, gradients scaled by
-     *  klWeight * batch / datasetSize; sigma and dsigma/drho read from
-     *  the planes), then step every layer's storage in place
+     *  klWeight * batch / datasetSize) through the kernel layer's KL
+     *  op over the sigma and dsigma/drho planes — bitwise the net's
+     *  klDivergence — then step every layer's storage in place
      *  (gradScale 1/batch) and refresh the derived planes. */
     double applyKlAndStep(std::size_t batch, std::size_t dataset_size);
 

@@ -8,7 +8,7 @@
 #ifndef VIBNN_BNN_KL_SUM_HH
 #define VIBNN_BNN_KL_SUM_HH
 
-#include <cmath>
+#include "accel/kernels/kernels.hh"
 
 namespace vibnn::bnn
 {
@@ -17,14 +17,15 @@ namespace vibnn::bnn
  * KL(N(mu, s^2) || N(0, p^2)) = ln(p/s) + (s^2 + mu^2) / (2 p^2) - 1/2,
  * summed elementwise over a layer, and its gradient scaled by `scale`:
  * dKL/dmu = mu / p^2, dKL/drho = (s / p^2 - 1 / s) * dsigma/drho.
+ * Each element is the kernel layer's KL element (accel::kernels::KlArgs),
+ * added in order, so a layer's sum equals the batched trainer's
+ * KernelOps::klSumGrad pass bit for bit.
  */
 class KlSum
 {
   public:
     explicit KlSum(float prior_sigma, float scale = 0.0f)
-        : p2_(static_cast<double>(prior_sigma) * prior_sigma),
-          logP_(std::log(static_cast<double>(prior_sigma))),
-          invP2_(1.0f / (prior_sigma * prior_sigma)), scale_(scale)
+        : args_(accel::kernels::klArgs(prior_sigma, scale))
     {
     }
 
@@ -32,10 +33,7 @@ class KlSum
     void
     add(float mu, float s)
     {
-        kl_ += logP_ - std::log(static_cast<double>(s)) +
-            (static_cast<double>(s) * s + static_cast<double>(mu) * mu) /
-                (2.0 * p2_) -
-            0.5;
+        kl_ += accel::kernels::klTerm(mu, s, args_);
     }
 
     /** Add one element's KL and accumulate its gradient, given
@@ -44,15 +42,13 @@ class KlSum
     add(float mu, float s, float ds, float &gmu, float &grho)
     {
         add(mu, s);
-        gmu += scale_ * mu * invP2_;
-        grho += scale_ * (s * invP2_ - 1.0f / s) * ds;
+        accel::kernels::klGrad(mu, s, ds, gmu, grho, args_);
     }
 
     double value() const { return kl_; }
 
   private:
-    double p2_, logP_;
-    float invP2_, scale_;
+    accel::kernels::KlArgs args_;
     double kl_ = 0.0;
 };
 

@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "accel/kernels/kernels.hh"
 #include "bnn/kl_sum.hh"
 #include "nn/activations.hh"
 
@@ -51,6 +52,18 @@ float
 VariationalConv2d::sigmaOf(float rho)
 {
     return nn::softplus(rho);
+}
+
+void
+VariationalConv2d::fillSigmaRow(std::size_t oc,
+                                VariationalConvScratch &scratch) const
+{
+    const std::size_t patch = spec_.patchSize();
+    scratch.sigmaRow.resize(patch);
+    scratch.dSigmaRow.resize(patch);
+    accel::kernels::activeKernels().sigmaPlanes(
+        rhoWeight_.row(oc), scratch.sigmaRow.data(), scratch.dSigmaRow.data(),
+        nullptr, patch);
 }
 
 std::size_t
@@ -113,11 +126,13 @@ VariationalConv2d::sampleBackward(const float *dy,
 
     for (std::size_t oc = 0; oc < spec_.outChannels; ++oc) {
         const float *mu = muWeight_.row(oc);
-        const float *rho = rhoWeight_.row(oc);
         const float *er = scratch.epsWeight.row(oc);
         const float *g = dy + oc * positions;
         float *gmu = grads.muWeight.row(oc);
         float *grho = grads.rhoWeight.row(oc);
+        fillSigmaRow(oc, scratch);
+        const float *sigma = scratch.sigmaRow.data();
+        const float *dsigma = scratch.dSigmaRow.data();
 
         // Shared-weight chain rule: dL/dw[k] = sum_p dy[p] patch[p][k].
         float bias_acc = 0.0f;
@@ -131,9 +146,9 @@ VariationalConv2d::sampleBackward(const float *dy,
             for (std::size_t k = 0; k < patch; ++k) {
                 const float dw = gp * v[k];
                 gmu[k] += dw;
-                grho[k] += dw * er[k] * nn::logistic(rho[k]);
+                grho[k] += dw * er[k] * dsigma[k];
                 if (dv) {
-                    const float w = mu[k] + sigmaOf(rho[k]) * er[k];
+                    const float w = mu[k] + sigma[k] * er[k];
                     dv[k] += gp * w;
                 }
             }
@@ -169,7 +184,8 @@ VariationalConv2d::lrtForward(const float *x, float *out,
 
     for (std::size_t oc = 0; oc < spec_.outChannels; ++oc) {
         const float *mu = muWeight_.row(oc);
-        const float *rho = rhoWeight_.row(oc);
+        fillSigmaRow(oc, scratch);
+        const float *sigma = scratch.sigmaRow.data();
         const float sb = sigmaOf(rhoBias_[oc]);
         float *plane = out + oc * positions;
         for (std::size_t p = 0; p < positions; ++p) {
@@ -179,8 +195,7 @@ VariationalConv2d::lrtForward(const float *x, float *out,
             float var = sb * sb;
             for (std::size_t k = 0; k < patch; ++k) {
                 mean += mu[k] * v[k];
-                const float s = sigmaOf(rho[k]);
-                var += s * s * v2[k];
+                var += sigma[k] * sigma[k] * v2[k];
             }
             const float sd = std::sqrt(std::max(var, 1e-16f));
             const float e = static_cast<float>(rng.gaussian());
@@ -213,12 +228,14 @@ VariationalConv2d::lrtBackward(const float *dy,
 
     for (std::size_t oc = 0; oc < spec_.outChannels; ++oc) {
         const float *mu = muWeight_.row(oc);
-        const float *rho = rhoWeight_.row(oc);
         const float *g = dy + oc * positions;
         float *gmu = grads.muWeight.row(oc);
         float *grho = grads.rhoWeight.row(oc);
-        const float lb = nn::logistic(rhoBias_[oc]);
-        const float sb = sigmaOf(rhoBias_[oc]);
+        float sb, lb;
+        nn::softplusLogistic(rhoBias_[oc], sb, lb);
+        fillSigmaRow(oc, scratch);
+        const float *sigma = scratch.sigmaRow.data();
+        const float *dsigma = scratch.dSigmaRow.data();
 
         for (std::size_t p = 0; p < positions; ++p) {
             const float gp = g[p];
@@ -235,8 +252,8 @@ VariationalConv2d::lrtBackward(const float *dy,
             float *dv = want_dx ? scratch.dPatches.row(p) : nullptr;
             for (std::size_t k = 0; k < patch; ++k) {
                 gmu[k] += gp * v[k];
-                const float s = sigmaOf(rho[k]);
-                grho[k] += dvar * 2.0f * s * v2[k] * nn::logistic(rho[k]);
+                const float s = sigma[k];
+                grho[k] += dvar * 2.0f * s * v2[k] * dsigma[k];
                 if (dv)
                     dv[k] += gp * mu[k] + dvar * s * s * 2.0f * v[k];
             }

@@ -61,6 +61,9 @@ struct VariationalConvScratch
     std::vector<float> activationEps, activationStd;
     /** Materialized filter sample for the current output channel. */
     std::vector<float> weightSample;
+    /** sigma = softplus(rho) and dsigma/drho = logistic(rho) of the
+     *  current output channel's filter, evaluated once per weight. */
+    std::vector<float> sigmaRow, dSigmaRow;
     /** Patch-space gradient (backward). */
     nn::Matrix dPatches;
 };
@@ -100,13 +103,14 @@ class VariationalConv2d
         const std::size_t patch = spec_.patchSize();
         for (std::size_t oc = 0; oc < spec_.outChannels; ++oc) {
             const float *mu = muWeight_.row(oc);
-            const float *rho = rhoWeight_.row(oc);
+            fillSigmaRow(oc, scratch);
+            const float *sigma = scratch.sigmaRow.data();
             float *er = scratch.epsWeight.row(oc);
             float *w = scratch.weightSample.data();
             for (std::size_t k = 0; k < patch; ++k) {
                 const float e = static_cast<float>(eps());
                 er[k] = e;
-                w[k] = mu[k] + sigmaOf(rho[k]) * e;
+                w[k] = mu[k] + sigma[k] * e;
             }
             const float eb = static_cast<float>(eps());
             scratch.epsBias[oc] = eb;
@@ -164,6 +168,10 @@ class VariationalConv2d
     void prepareScratch(VariationalConvScratch &scratch) const;
 
   private:
+    /** Fill scratch.sigmaRow / dSigmaRow for output channel oc (the
+     *  active kernel tier's plane op: bitwise nn::softplusLogistic). */
+    void fillSigmaRow(std::size_t oc, VariationalConvScratch &scratch) const;
+
     nn::ConvSpec spec_;
     nn::Matrix muWeight_, rhoWeight_;
     std::vector<float> muBias_, rhoBias_;

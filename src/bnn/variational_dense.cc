@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "accel/kernels/kernels.hh"
 #include "bnn/kl_sum.hh"
 #include "common/logging.hh"
 #include "nn/activations.hh"
@@ -46,6 +47,17 @@ VariationalDense::sigmaOf(float rho)
 }
 
 void
+VariationalDense::fillSigmaRow(std::size_t r,
+                               VariationalScratch &scratch) const
+{
+    scratch.sigmaRow.resize(inDim());
+    scratch.dSigmaRow.resize(inDim());
+    accel::kernels::activeKernels().sigmaPlanes(
+        rhoWeight_.row(r), scratch.sigmaRow.data(), scratch.dSigmaRow.data(),
+        nullptr, inDim());
+}
+
+void
 VariationalDense::prepareScratch(VariationalScratch &scratch) const
 {
     if (scratch.epsWeight.rows() != outDim() ||
@@ -66,7 +78,7 @@ VariationalDense::meanForward(const float *x, float *out) const
 
 void
 VariationalDense::sampleBackward(const float *x, const float *dy,
-                                 const VariationalScratch &scratch,
+                                 VariationalScratch &scratch,
                                  VariationalGradients &grads,
                                  float *dx) const
 {
@@ -77,7 +89,6 @@ VariationalDense::sampleBackward(const float *x, const float *dy,
     for (std::size_t r = 0; r < rows; ++r) {
         const float g = dy[r];
         const float *mu = muWeight_.row(r);
-        const float *rho = rhoWeight_.row(r);
         const float *er = scratch.epsWeight.row(r);
         float *gmu = grads.muWeight.row(r);
         float *grho = grads.rhoWeight.row(r);
@@ -89,12 +100,15 @@ VariationalDense::sampleBackward(const float *x, const float *dy,
 
         if (g == 0.0f && !dx)
             continue;
+        fillSigmaRow(r, scratch);
+        const float *sigma = scratch.sigmaRow.data();
+        const float *dsigma = scratch.dSigmaRow.data();
         for (std::size_t c = 0; c < cols; ++c) {
             const float dw = g * x[c];
             gmu[c] += dw;
-            grho[c] += dw * er[c] * nn::logistic(rho[c]);
+            grho[c] += dw * er[c] * dsigma[c];
             if (dx) {
-                const float w = mu[c] + sigmaOf(rho[c]) * er[c];
+                const float w = mu[c] + sigma[c] * er[c];
                 dx[c] += w * g;
             }
         }
@@ -112,14 +126,14 @@ VariationalDense::lrtForward(const float *x, float *out,
 
     for (std::size_t r = 0; r < rows; ++r) {
         const float *mu = muWeight_.row(r);
-        const float *rho = rhoWeight_.row(r);
+        fillSigmaRow(r, scratch);
+        const float *sigma = scratch.sigmaRow.data();
         float mean = muBias_[r];
         const float sb = sigmaOf(rhoBias_[r]);
         float var = sb * sb;
         for (std::size_t c = 0; c < cols; ++c) {
             mean += mu[c] * x[c];
-            const float s = sigmaOf(rho[c]);
-            var += s * s * scratch.inputSquared[c];
+            var += sigma[c] * sigma[c] * scratch.inputSquared[c];
         }
         const float sd = std::sqrt(std::max(var, 1e-16f));
         const float e = static_cast<float>(rng.gaussian());
@@ -131,7 +145,7 @@ VariationalDense::lrtForward(const float *x, float *out,
 
 void
 VariationalDense::lrtBackward(const float *x, const float *dy,
-                              const VariationalScratch &scratch,
+                              VariationalScratch &scratch,
                               VariationalGradients &grads, float *dx) const
 {
     const std::size_t rows = outDim(), cols = inDim();
@@ -141,7 +155,6 @@ VariationalDense::lrtBackward(const float *x, const float *dy,
     for (std::size_t r = 0; r < rows; ++r) {
         const float g = dy[r];
         const float *mu = muWeight_.row(r);
-        const float *rho = rhoWeight_.row(r);
         float *gmu = grads.muWeight.row(r);
         float *grho = grads.rhoWeight.row(r);
 
@@ -152,16 +165,18 @@ VariationalDense::lrtBackward(const float *x, const float *dy,
 
         grads.muBias[r] += g;
         {
-            const float sb = sigmaOf(rhoBias_[r]);
-            grads.rhoBias[r] +=
-                dvar * 2.0f * sb * nn::logistic(rhoBias_[r]);
+            float sb, dsb;
+            nn::softplusLogistic(rhoBias_[r], sb, dsb);
+            grads.rhoBias[r] += dvar * 2.0f * sb * dsb;
         }
 
+        fillSigmaRow(r, scratch);
+        const float *sigma = scratch.sigmaRow.data();
+        const float *dsigma = scratch.dSigmaRow.data();
         for (std::size_t c = 0; c < cols; ++c) {
             gmu[c] += g * x[c];
-            const float s = sigmaOf(rho[c]);
-            grho[c] += dvar * 2.0f * s * scratch.inputSquared[c] *
-                nn::logistic(rho[c]);
+            const float s = sigma[c];
+            grho[c] += dvar * 2.0f * s * scratch.inputSquared[c] * dsigma[c];
             if (dx) {
                 dx[c] += g * mu[c] +
                     dvar * s * s * 2.0f * x[c];
@@ -201,23 +216,6 @@ VariationalDense::klValueAndGrad(float prior_sigma, float scale,
         nn::softplusLogistic(rhoBias_[i], s, ds);
         sum.add(muBias_[i], s, ds, grads.muBias[i], grads.rhoBias[i]);
     }
-    return sum.value();
-}
-
-double
-VariationalDense::klValueAndGrad(float prior_sigma, float scale,
-                                 const SigmaPlanes &planes,
-                                 VariationalGradients &grads) const
-{
-    KlSum sum(prior_sigma, scale);
-    const auto &mw = muWeight_.data();
-    auto &gm = grads.muWeight.data();
-    auto &gr = grads.rhoWeight.data();
-    for (std::size_t i = 0; i < mw.size(); ++i)
-        sum.add(mw[i], planes.sigmaW[i], planes.dSigmaW[i], gm[i], gr[i]);
-    for (std::size_t i = 0; i < muBias_.size(); ++i)
-        sum.add(muBias_[i], planes.sigmaB[i], planes.dSigmaB[i],
-                grads.muBias[i], grads.rhoBias[i]);
     return sum.value();
 }
 

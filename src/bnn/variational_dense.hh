@@ -45,16 +45,6 @@ struct VariationalGradients
     void zero();
 };
 
-/**
- * sigma = softplus(rho) and dsigma/drho = logistic(rho) of every weight
- * (row-major, like rhoWeight()) and bias of one layer, evaluated once
- * per parameter update by the batched trainer.
- */
-struct SigmaPlanes
-{
-    const float *sigmaW, *dSigmaW, *sigmaB, *dSigmaB;
-};
-
 /** Scratch for one sample's forward/backward through one layer. */
 struct VariationalScratch
 {
@@ -65,6 +55,9 @@ struct VariationalScratch
     std::vector<float> activationEps, activationStd;
     /** Cached squared input (LRT). */
     std::vector<float> inputSquared;
+    /** sigma = softplus(rho) and dsigma/drho = logistic(rho) of the
+     *  current output row's weights, evaluated once per weight. */
+    std::vector<float> sigmaRow, dSigmaRow;
 };
 
 /** Dense layer with Gaussian-posterior weights. */
@@ -100,7 +93,8 @@ class VariationalDense
         const std::size_t rows = outDim(), cols = inDim();
         for (std::size_t r = 0; r < rows; ++r) {
             const float *mu = muWeight_.row(r);
-            const float *rho = rhoWeight_.row(r);
+            fillSigmaRow(r, scratch);
+            const float *sigma = scratch.sigmaRow.data();
             float *er = scratch.epsWeight.row(r);
             float acc;
             {
@@ -111,7 +105,7 @@ class VariationalDense
             for (std::size_t c = 0; c < cols; ++c) {
                 const float e = static_cast<float>(eps());
                 er[c] = e;
-                acc += (mu[c] + sigmaOf(rho[c]) * e) * x[c];
+                acc += (mu[c] + sigma[c] * e) * x[c];
             }
             out[r] = acc;
         }
@@ -119,7 +113,7 @@ class VariationalDense
 
     /** Backward for the direct estimator (uses scratch.epsWeight). */
     void sampleBackward(const float *x, const float *dy,
-                        const VariationalScratch &scratch,
+                        VariationalScratch &scratch,
                         VariationalGradients &grads, float *dx) const;
 
     /** LRT forward: out = (mu x + b_mu) + sqrt(sigma^2 x^2 + sb^2) e. */
@@ -128,7 +122,7 @@ class VariationalDense
 
     /** Backward for the LRT estimator. */
     void lrtBackward(const float *x, const float *dy,
-                     const VariationalScratch &scratch,
+                     VariationalScratch &scratch,
                      VariationalGradients &grads, float *dx) const;
 
     /**
@@ -141,13 +135,6 @@ class VariationalDense
      *  accumulated into grads, in one pass over the parameters. The
      *  returned value is bit-identical to klDivergence. */
     double klValueAndGrad(float prior_sigma, float scale,
-                          VariationalGradients &grads) const;
-
-    /** The same pass reading sigma and dsigma/drho from `planes`
-     *  instead of evaluating them; bit-identical to the overload above
-     *  while the planes hold softplus/logistic of the current rho. */
-    double klValueAndGrad(float prior_sigma, float scale,
-                          const SigmaPlanes &planes,
                           VariationalGradients &grads) const;
 
     /** sigma = softplus(rho). */
@@ -166,6 +153,10 @@ class VariationalDense
     void prepareScratch(VariationalScratch &scratch) const;
 
   private:
+    /** Fill scratch.sigmaRow / dSigmaRow for output row r (the active
+     *  kernel tier's plane op: bitwise nn::softplusLogistic). */
+    void fillSigmaRow(std::size_t r, VariationalScratch &scratch) const;
+
     nn::Matrix muWeight_, rhoWeight_;
     std::vector<float> muBias_, rhoBias_;
 };

@@ -6,6 +6,7 @@
 #include "bnn/variational_matrix.hh"
 
 #include "bnn/kl_sum.hh"
+#include "nn/activations.hh"
 
 namespace vibnn::bnn
 {

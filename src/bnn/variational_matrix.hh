@@ -13,8 +13,8 @@
 
 #include <cstddef>
 
+#include "accel/kernels/kernels.hh"
 #include "common/rng.hh"
-#include "nn/activations.hh"
 #include "nn/tensor.hh"
 
 namespace vibnn::bnn
@@ -50,11 +50,15 @@ class VariationalMatrix
     {
         ensureShape(w);
         ensureShape(eps);
+        // sigma = softplus(rho) into w by the plane op; eps holds
+        // dsigma/drho until the draws overwrite it.
+        accel::kernels::activeKernels().sigmaPlanes(
+            rho_.data().data(), w.data().data(), eps.data().data(),
+            nullptr, mu_.size());
         for (std::size_t i = 0; i < mu_.size(); ++i) {
             const float e = static_cast<float>(draw());
             eps.data()[i] = e;
-            w.data()[i] =
-                mu_.data()[i] + nn::softplus(rho_.data()[i]) * e;
+            w.data()[i] = mu_.data()[i] + w.data()[i] * e;
         }
     }
 

@@ -4,8 +4,8 @@
  *
  * Two knobs control every experiment binary:
  *  - VIBNN_SCALE: multiplies workload sizes (sample counts, epochs,
- *    repetitions). 1 = the default laptop-friendly scale documented in
- *    EXPERIMENTS.md; larger values approach the paper's full-size runs.
+ *    repetitions). 1 = the default laptop-friendly scale; larger values
+ *    approach the paper's full-size runs.
  *  - VIBNN_SEED: master seed for all stochastic components.
  */
 

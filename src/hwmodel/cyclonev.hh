@@ -19,7 +19,8 @@
  * coefficients calibrated against the paper's own Table 2 (the RLF and
  * BNNWallace 64-output GRNG measurements), as documented inline; the
  * frequency model is a two-parameter logic-depth fit through the same
- * table. EXPERIMENTS.md discusses the calibration in detail.
+ * table; cyclonev.cc states each calibrated coefficient where it is
+ * used.
  */
 
 #ifndef VIBNN_HWMODEL_CYCLONEV_HH

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "accel/kernels/kernels.hh"
+
 namespace vibnn::nn
 {
 
@@ -42,22 +44,19 @@ softmax(float *values, std::size_t count)
 float
 softplus(float x)
 {
-    if (x > 20.0f)
-        return x;
-    if (x < -20.0f)
-        return std::exp(x);
-    return std::log1p(std::exp(x));
+    return accel::kernels::softplus(x);
 }
 
 float
 logistic(float x)
 {
-    if (x >= 0.0f) {
-        const float z = std::exp(-x);
-        return 1.0f / (1.0f + z);
-    }
-    const float z = std::exp(x);
-    return z / (1.0f + z);
+    return accel::kernels::logistic(x);
+}
+
+void
+softplusLogistic(float x, float &sp, float &lg)
+{
+    accel::kernels::softplusLogistic(x, sp, lg);
 }
 
 } // namespace vibnn::nn

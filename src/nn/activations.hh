@@ -7,7 +7,6 @@
 #ifndef VIBNN_NN_ACTIVATIONS_HH
 #define VIBNN_NN_ACTIVATIONS_HH
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -24,30 +23,20 @@ void reluBackward(const float *pre_activation, const float *dy, float *dx,
 /** Numerically stable in-place softmax. */
 void softmax(float *values, std::size_t count);
 
-/** softplus(x) = ln(1 + exp(x)), stable for large |x|. */
+/** softplus(x) = ln(1 + exp(x)): accel::kernels::softplus, the
+ *  repository's one definition (double-internal, rounded once; x above
+ *  20, exp(x) below -20). */
 float softplus(float x);
 
-/** d softplus / dx = logistic(x). */
+/** d softplus / dx = logistic(x) (accel::kernels::logistic). */
 float logistic(float x);
 
 /**
  * sp = softplus(x) and lg = logistic(x), bit-identical to the two
- * functions, with one exp(x) for both when x < 0 (where each function
- * takes its own). Callers that need sigma = softplus(rho) and
+ * functions, from one exp. Callers that need sigma = softplus(rho) and
  * dsigma/drho = logistic(rho) of the same rho use this.
  */
-inline void
-softplusLogistic(float x, float &sp, float &lg)
-{
-    if (x >= 0.0f) {
-        sp = softplus(x);
-        lg = logistic(x);
-        return;
-    }
-    const float z = std::exp(x);
-    sp = x < -20.0f ? z : std::log1p(z);
-    lg = z / (1.0f + z);
-}
+void softplusLogistic(float x, float &sp, float &lg);
 
 } // namespace vibnn::nn
 

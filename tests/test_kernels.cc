@@ -9,14 +9,19 @@
  * classic sampleBlock staging path; activation-range saturation of the
  * int32-narrowed batched path; and thread-count invariance (1/2/5
  * runners) plus tile-size invariance of the intra-pass parallel
- * BatchedRunner on synth images.
+ * BatchedRunner on synth images; and the training step's plane op
+ * (softplus / logistic) and KL op, bit-exact on every tier over the
+ * switch points, the exp clamp, infinities, NaNs and subnormals.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -955,4 +960,246 @@ TEST(KernelAdamF32, StepTiersBitExact)
             EXPECT_TRUE(bitsEqual(v, vr)) << ops->name << " n=" << n;
         }
     }
+}
+
+namespace
+{
+
+/** Inputs of the plane and KL op pins: the +-20 switches and their
+ *  neighbours, exp's float-underflow region (-88, -104), the exp clamp
+ *  at -200 and its neighbours, the float extremes, infinities, NaNs of
+ *  both signs and payloads, and subnormals. */
+std::vector<float>
+sigmaSpecials()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    float payload_nan = 0.0f;
+    const std::uint32_t nan_bits = 0xffc01234u;
+    std::memcpy(&payload_nan, &nan_bits, sizeof payload_nan);
+    return {0.0f,
+            -0.0f,
+            20.0f,
+            -20.0f,
+            std::nextafter(20.0f, inf),
+            std::nextafter(20.0f, 0.0f),
+            std::nextafter(-20.0f, -inf),
+            std::nextafter(-20.0f, 0.0f),
+            -88.0f,
+            -104.0f,
+            -200.0f,
+            std::nextafter(-200.0f, -inf),
+            std::nextafter(-200.0f, 0.0f),
+            200.0f,
+            FLT_MAX,
+            -FLT_MAX,
+            inf,
+            -inf,
+            std::numeric_limits<float>::quiet_NaN(),
+            payload_nan,
+            denorm,
+            -denorm,
+            FLT_MIN / 4.0f,
+            -FLT_MIN / 4.0f,
+            FLT_MIN,
+            0.4142135f,
+            -0.34657359f,
+            1.0f};
+}
+
+/** Op inputs of length n: the specials, then uniform values in
+ *  [-lo, hi] from `seed`. */
+std::vector<float>
+specialsThenUniform(std::size_t n, std::uint64_t seed, double lo, double hi)
+{
+    std::vector<float> v = sigmaSpecials();
+    v.resize(std::max(n, v.size()));
+    Rng rng(seed);
+    for (std::size_t i = sigmaSpecials().size(); i < v.size(); ++i)
+        v[i] = static_cast<float>(rng.uniform(lo, hi));
+    v.resize(n);
+    return v;
+}
+
+bool
+doubleBitsEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
+
+TEST(KernelSigmaPlanes, TiersBitExactOnSpecialsAndTails)
+{
+    // Prime sizes put every special in a vector lane and leave tails
+    // of each length; 28 and 64 are whole vectors only.
+    for (const std::size_t n : {1u, 2u, 3u, 5u, 7u, 28u, 31u, 64u, 131u}) {
+        // Rotate the specials so each lands in a different lane.
+        auto rho = specialsThenUniform(n + 3, 41 + n, -30.0, 30.0);
+        std::rotate(rho.begin(), rho.begin() + static_cast<long>(n % 3),
+                    rho.end());
+        rho.resize(n);
+        std::vector<float> sr(n), dr(n), qr(n);
+        k::scalarKernels().sigmaPlanes(rho.data(), sr.data(), dr.data(),
+                                       qr.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            float sp = 0.0f, lg = 0.0f;
+            k::softplusLogistic(rho[i], sp, lg);
+            EXPECT_TRUE(bitsEqual({sr[i], dr[i], qr[i]},
+                                  {sp, lg, sp * sp}))
+                << "scalar tier vs reference at rho=" << rho[i];
+        }
+        for (const k::KernelOps *ops : k::availableKernels()) {
+            std::vector<float> s(n, -1.0f), d(n, -1.0f), q(n, -1.0f);
+            ops->sigmaPlanes(rho.data(), s.data(), d.data(), q.data(), n);
+            EXPECT_TRUE(bitsEqual(s, sr)) << ops->name << " n=" << n;
+            EXPECT_TRUE(bitsEqual(d, dr)) << ops->name << " n=" << n;
+            EXPECT_TRUE(bitsEqual(q, qr)) << ops->name << " n=" << n;
+            // Without sigma^2 the other planes are the same.
+            std::vector<float> s2(n), d2(n);
+            ops->sigmaPlanes(rho.data(), s2.data(), d2.data(), nullptr, n);
+            EXPECT_TRUE(bitsEqual(s2, sr)) << ops->name << " n=" << n;
+            EXPECT_TRUE(bitsEqual(d2, dr)) << ops->name << " n=" << n;
+        }
+    }
+}
+
+TEST(KernelSigmaPlanes, NaNAndInfinitiesOnEveryTier)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // Each value at every lane position of a vector and in a tail.
+    for (const k::KernelOps *ops : k::availableKernels()) {
+        for (std::size_t at = 0; at < 9; ++at) {
+            std::vector<float> rho(9, -5.0f), s(9), d(9);
+            for (const float x : {nan, -nan, inf, -inf}) {
+                rho[at] = x;
+                ops->sigmaPlanes(rho.data(), s.data(), d.data(), nullptr, 9);
+                if (std::isnan(x)) {
+                    EXPECT_TRUE(std::isnan(s[at])) << ops->name;
+                    EXPECT_TRUE(std::isnan(d[at])) << ops->name;
+                } else if (x > 0.0f) {
+                    EXPECT_EQ(s[at], inf) << ops->name;
+                    EXPECT_EQ(d[at], 1.0f) << ops->name;
+                } else {
+                    EXPECT_EQ(s[at], 0.0f) << ops->name;
+                    EXPECT_EQ(d[at], 0.0f) << ops->name;
+                }
+                for (std::size_t i = 0; i < 9; ++i)
+                    if (i != at) {
+                        EXPECT_FALSE(std::isnan(s[i])) << ops->name;
+                    }
+            }
+        }
+    }
+}
+
+TEST(KernelKlSumGrad, TiersBitExactAndEqualKlSumOrder)
+{
+    const float prior = 0.3f, scale = 0.0125f;
+    const k::KlArgs args = k::klArgs(prior, scale);
+    for (const std::size_t n : {1u, 2u, 3u, 5u, 7u, 28u, 31u, 64u, 131u}) {
+        // sigma and dsigma as the trainer makes them (the plane op of
+        // rho, specials included); mu specials in a shifted order.
+        const auto rho = specialsThenUniform(n, 61 + n, -8.0, 3.0);
+        auto mu = specialsThenUniform(n + 5, 71 + n, -1.0, 1.0);
+        std::rotate(mu.begin(), mu.begin() + 5, mu.end());
+        mu.resize(n);
+        std::vector<float> sigma(n), dsigma(n);
+        k::scalarKernels().sigmaPlanes(rho.data(), sigma.data(),
+                                       dsigma.data(), nullptr, n);
+        const auto gm0 = randomFloats(n, 81 + n, 0.5f);
+        const auto gr0 = randomFloats(n, 91 + n, 0.5f);
+
+        // KlSum's order: acc += term, one element at a time.
+        double ref_acc = 1.25;
+        std::vector<float> gmr = gm0, grr = gr0;
+        for (std::size_t i = 0; i < n; ++i) {
+            ref_acc += k::klTerm(mu[i], sigma[i], args);
+            k::klGrad(mu[i], sigma[i], dsigma[i], gmr[i], grr[i], args);
+        }
+        for (const k::KernelOps *ops : k::availableKernels()) {
+            std::vector<float> gm = gm0, gr = gr0;
+            const double acc =
+                ops->klSumGrad(mu.data(), sigma.data(), dsigma.data(),
+                               gm.data(), gr.data(), n, args, 1.25);
+            EXPECT_TRUE(doubleBitsEqual(acc, ref_acc))
+                << ops->name << " n=" << n << ": " << acc << " vs "
+                << ref_acc;
+            EXPECT_TRUE(bitsEqual(gm, gmr)) << ops->name << " n=" << n;
+            EXPECT_TRUE(bitsEqual(gr, grr)) << ops->name << " n=" << n;
+        }
+    }
+}
+
+TEST(KernelKlSumGrad, NaNInAnyLaneMakesTheSumNaN)
+{
+    const k::KlArgs args = k::klArgs(0.3f, 1.0f);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const k::KernelOps *ops : k::availableKernels()) {
+        for (std::size_t at = 0; at < 9; ++at) {
+            for (const bool in_mu : {false, true}) {
+                std::vector<float> mu(9, 0.1f), sigma(9, 0.05f),
+                    dsigma(9, 0.04f), gm(9, 0.0f), gr(9, 0.0f);
+                (in_mu ? mu : sigma)[at] = nan;
+                const double kl =
+                    ops->klSumGrad(mu.data(), sigma.data(), dsigma.data(),
+                                   gm.data(), gr.data(), 9, args, 0.0);
+                EXPECT_TRUE(std::isnan(kl))
+                    << ops->name << " at=" << at << " mu=" << in_mu;
+            }
+        }
+        // sigma = 0 (rho far below -104): KL +inf, not NaN.
+        std::vector<float> mu(5, 0.1f), sigma(5, 0.05f), dsigma(5, 0.0f),
+            gm(5, 0.0f), gr(5, 0.0f);
+        sigma[2] = 0.0f;
+        EXPECT_EQ(ops->klSumGrad(mu.data(), sigma.data(), dsigma.data(),
+                                 gm.data(), gr.data(), 5, args, 0.0),
+                  std::numeric_limits<double>::infinity())
+            << ops->name;
+    }
+}
+
+TEST(KernelLn, WithinTenToTheMinus14OfStdLog)
+{
+    // Every positive float at a prime stride, subnormals included.
+    std::size_t checked = 0;
+    double worst = 0.0;
+    for (std::uint32_t bits = 1; bits < 0x7f800000u; bits += 9973) {
+        float x = 0.0f;
+        std::memcpy(&x, &bits, sizeof x);
+        const double want = std::log(static_cast<double>(x));
+        const double got = k::ln(x);
+        if (want != 0.0)
+            worst = std::max(worst, std::fabs(got - want) / std::fabs(want));
+        else
+            EXPECT_EQ(got, 0.0);
+        ++checked;
+    }
+    EXPECT_GT(checked, 200000u);
+    EXPECT_LE(worst, 1e-14);
+    for (const float x : {1.0f, std::nextafter(1.0f, 2.0f),
+                          std::nextafter(1.0f, 0.0f), FLT_MAX, FLT_MIN,
+                          std::numeric_limits<float>::denorm_min()}) {
+        const double want = std::log(static_cast<double>(x));
+        EXPECT_LE(std::fabs(k::ln(x) - want), 1e-14 * std::fabs(want))
+            << "x=" << x;
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(k::ln(0.0f), -inf);
+    EXPECT_EQ(k::ln(-0.0f), -inf);
+    EXPECT_EQ(k::ln(std::numeric_limits<float>::infinity()), inf);
+    EXPECT_TRUE(std::isnan(k::ln(-1.0f)));
+    EXPECT_TRUE(std::isnan(k::ln(-std::numeric_limits<float>::infinity())));
+    EXPECT_TRUE(std::isnan(k::ln(std::numeric_limits<float>::quiet_NaN())));
+}
+
+TEST(KernelKlArgsDeathTest, RejectsANonPositivePriorOrInfiniteScale)
+{
+    EXPECT_DEATH(k::klArgs(0.0f, 1.0f), "KL prior sigma must be positive");
+    EXPECT_DEATH(k::klArgs(-0.3f, 1.0f), "KL prior sigma must be positive");
+    EXPECT_DEATH(k::klArgs(std::numeric_limits<float>::quiet_NaN(), 1.0f),
+                 "KL prior sigma must be positive");
+    EXPECT_DEATH(k::klArgs(0.3f, std::numeric_limits<float>::infinity()),
+                 "KL gradient scale must be finite");
 }

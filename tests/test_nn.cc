@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -164,6 +165,96 @@ TEST(Activations, SoftplusLogisticMatchesSoftplusAndLogistic)
     }
     EXPECT_GT(checked, 4000000u);
     EXPECT_EQ(mismatched, 0u);
+}
+
+namespace
+{
+
+/** Distance between a and b in representable floats. */
+std::int64_t
+ulpDistance(float a, float b)
+{
+    const auto ordered = [](float x) {
+        const std::int64_t mag = floatBits(x) & 0x7fffffffu;
+        return (floatBits(x) >> 31) != 0 ? -mag : mag;
+    };
+    return std::llabs(ordered(a) - ordered(b));
+}
+
+} // namespace
+
+TEST(Activations, SoftplusAndLogisticWithinOneUlpOfLongDouble)
+{
+    const auto softplus_ref = [](float x) {
+        return static_cast<float>(
+            std::log1p(std::exp(static_cast<long double>(x))));
+    };
+    const auto logistic_ref = [](float x) {
+        return static_cast<float>(
+            1.0L / (1.0L + std::exp(-static_cast<long double>(x))));
+    };
+    // Every float in [-20, 20] at a prime stride (both signs, every
+    // exponent) ...
+    const auto top = static_cast<std::int64_t>(floatBits(20.0f));
+    std::size_t checked = 0;
+    std::int64_t worst_sp = 0, worst_lg = 0;
+    for (std::int64_t i = -top; i <= top; i += 4099) {
+        const std::uint32_t bits = i < 0
+            ? 0x80000000u | static_cast<std::uint32_t>(-i)
+            : static_cast<std::uint32_t>(i);
+        float x = 0.0f;
+        std::memcpy(&x, &bits, sizeof x);
+        worst_sp = std::max(worst_sp, ulpDistance(softplus(x),
+                                                  softplus_ref(x)));
+        worst_lg = std::max(worst_lg, ulpDistance(logistic(x),
+                                                  logistic_ref(x)));
+        ++checked;
+    }
+    EXPECT_GT(checked, 500000u);
+    EXPECT_LE(worst_sp, 1);
+    EXPECT_LE(worst_lg, 1);
+
+    // ... then e^x below the -20 switch down to float underflow ...
+    for (float x = -20.0f; x > -104.0f;
+         x = std::nextafter(x * 1.0009f, -200.0f)) {
+        const float exp_ref =
+            static_cast<float>(std::exp(static_cast<long double>(x)));
+        EXPECT_LE(ulpDistance(softplus(x), exp_ref), 1) << "x=" << x;
+        EXPECT_LE(ulpDistance(logistic(x), logistic_ref(x)), 1)
+            << "x=" << x;
+    }
+    // ... and x itself above +20.
+    for (float x = std::nextafter(20.0f, 30.0f); x < 1e30f; x *= 1.37f) {
+        EXPECT_EQ(floatBits(softplus(x)), floatBits(x)) << "x=" << x;
+        EXPECT_LE(ulpDistance(logistic(x), logistic_ref(x)), 1)
+            << "x=" << x;
+    }
+}
+
+TEST(Activations, SoftplusAndLogisticSpecialValues)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(softplus(inf), inf);
+    EXPECT_EQ(logistic(inf), 1.0f);
+    EXPECT_EQ(floatBits(softplus(-inf)), floatBits(0.0f));
+    EXPECT_EQ(floatBits(logistic(-inf)), floatBits(0.0f));
+    EXPECT_EQ(softplus(FLT_MAX), FLT_MAX);
+    EXPECT_EQ(softplus(-FLT_MAX), 0.0f);
+    EXPECT_EQ(logistic(0.0f), 0.5f);
+    EXPECT_EQ(logistic(-0.0f), 0.5f);
+    // Below float underflow e^x is 0; just above it, the least
+    // subnormal.
+    EXPECT_EQ(softplus(-104.0f), 0.0f);
+    EXPECT_EQ(softplus(-103.2f), std::numeric_limits<float>::denorm_min());
+    for (const float x : {nan, -nan}) {
+        EXPECT_TRUE(std::isnan(softplus(x)));
+        EXPECT_TRUE(std::isnan(logistic(x)));
+        float sp = 0.0f, lg = 0.0f;
+        softplusLogistic(x, sp, lg);
+        EXPECT_TRUE(std::isnan(sp));
+        EXPECT_TRUE(std::isnan(lg));
+    }
 }
 
 TEST(Loss, CrossEntropyGradient)

@@ -6,7 +6,8 @@
  * against the per-sample reference trainer, bit-identity of batched
  * training across thread counts and kernel tiers, the trainer's cached
  * per-step parameter planes against a freshly built trainer at every
- * step, the in-place segmented Adam step against the historical
+ * step, the KL of its step against the net's own klDivergence, the
+ * in-place segmented Adam step against the historical
  * gather/step/scatter reference, pool-invariance of the parallel
  * evaluator, and the quantization-aware fine-tuning accuracy pin
  * against post-hoc quantization on the compiled accelerator program.
@@ -345,6 +346,38 @@ TEST(BatchedTrainer, CachedPlanesMatchAFreshTrainerAtEveryStep)
                 << "step " << step;
             EXPECT_TRUE(gradsEqual(engine.gradients(), fresh.gradients()))
                 << "applyKlAndStep, step " << step;
+        }
+    }
+}
+
+TEST(BatchedTrainer, KlMatchesNetKlDivergence)
+{
+    // applyKlAndStep's KL comes from the kernel layer's KL op over the
+    // cached sigma planes; it must equal, bit for bit, the net's own
+    // klDivergence (KlSum over softplus(rho)) taken before the step.
+    const auto blobs = makeBlobs(27, 7, 3, 151);
+    const auto data = blobs.view();
+    std::vector<std::size_t> order(data.count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    constexpr std::size_t kBatch = 9;
+
+    for (const auto estimator : {bnn::BnnEstimator::LocalReparam,
+                                 bnn::BnnEstimator::DirectWeightSample}) {
+        Rng init(157);
+        bnn::BayesianMlp net({7, 13, 11, 3}, init, -3.0f);
+        bnn::BnnBatchedTrainConfig cfg;
+        cfg.estimator = estimator;
+        cfg.seed = 163;
+        cfg.priorSigma = 0.2f;
+        bnn::BnnBatchTrainer engine(net, cfg);
+        for (std::size_t step = 0; step < data.count / kBatch; ++step) {
+            engine.zeroGrads();
+            engine.forwardBackward(data, order.data() + step * kBatch,
+                                   kBatch, nullptr);
+            const double before = net.klDivergence(cfg.priorSigma);
+            const double kl = engine.applyKlAndStep(kBatch, data.count);
+            EXPECT_EQ(std::memcmp(&kl, &before, sizeof kl), 0)
+                << "step " << step << ": " << kl << " vs " << before;
         }
     }
 }
