@@ -6,7 +6,11 @@
  *   1. VIBNN_KERNELS=<name>           -> that tier, fatal() if it is
  *                                        not compiled in / supported
  *                                        (scalar always is)
- *   2. widest tier the CPU supports   -> avx2 > sse4 > scalar
+ *   2. widest tier the CPU supports   -> avx512 > avx2 > sse4 > scalar
+ *
+ * avx512 needs AVX-512 F, VL, DQ and BW (libgcc's probe also checks
+ * that the OS saves the ZMM state) on top of AVX2, whose inference
+ * entries it shares.
  *
  * Because every tier is ctest-pinned bit-exact against the scalar
  * reference, the choice is invisible in program output — it only moves
@@ -24,6 +28,7 @@ namespace vibnn::accel::kernels
 #if defined(__x86_64__) || defined(__i386__)
 const KernelOps &sse4Kernels();
 const KernelOps &avx2Kernels();
+const KernelOps &avx512Kernels();
 #endif
 
 namespace
@@ -49,6 +54,19 @@ cpuHasAvx2()
 #endif
 }
 
+bool
+cpuHasAvx512()
+{
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+    return __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512bw");
+#else
+    return false;
+#endif
+}
+
 /** Tiers compiled in AND usable on this CPU, widest last. */
 std::vector<const KernelOps *>
 probeKernels()
@@ -56,10 +74,20 @@ probeKernels()
     std::vector<const KernelOps *> tiers;
     tiers.push_back(&scalarKernels());
 #if defined(__x86_64__) || defined(__i386__)
-    if (cpuHasSse41())
-        tiers.push_back(&sse4Kernels());
-    if (cpuHasAvx2())
-        tiers.push_back(&avx2Kernels());
+    // One push_back site for the SIMD tiers: the *Avx2 kernels link
+    // right after this object, and their cache-line offsets follow its
+    // code size (docs/PERFORMANCE.md, "AVX-512 kernel tier for training").
+    const bool avx2 = cpuHasAvx2();
+    const struct
+    {
+        bool usable;
+        const KernelOps &(*ops)();
+    } simd[] = {{cpuHasSse41(), &sse4Kernels},
+                {avx2, &avx2Kernels},
+                {avx2 && cpuHasAvx512(), &avx512Kernels}};
+    for (const auto &tier : simd)
+        if (tier.usable)
+            tiers.push_back(&tier.ops());
 #endif
     return tiers;
 }

@@ -9,23 +9,26 @@
  * w = mu + (sigma * eps >> epsFrac), and the batched fixed-point GEMM
  * with the bias/ReLU/requantize finish stage. This layer packages each
  * of them as a free function behind a per-tier function table
- * (KernelOps) with three implementations:
+ * (KernelOps) with four implementations:
  *
  *   "scalar"  portable reference — the semantic ground truth, compiled
  *             everywhere, and the definition every other tier must
  *             match bit for bit,
  *   "sse4"    128-bit x86 (SSE4.1),
  *   "avx2"    256-bit x86 (AVX2), with an additional int16 madd GEMM
- *             fast path when the operand formats allow it.
+ *             fast path when the operand formats allow it,
+ *   "avx512"  512-bit x86 (AVX-512 F, VL, DQ and BW) for the f32
+ *             GEMMs and the plane and KL ops; its inference entries
+ *             and Adam are the avx2 functions.
  *
  * activeKernels() picks the widest tier the running CPU supports once
- * per process; VIBNN_KERNELS=<name> selects one explicitly (fatal if
- * that tier is not available on this CPU/build; VIBNN_KERNELS=scalar
- * pins the reference). Tests iterate availableKernels()
- * and assert bit-exactness of every tier against scalarKernels() —
- * including saturation and odd-size tail lanes — so the dispatch
- * decision is a pure performance choice, never a semantic one
- * (docs/ARCHITECTURE.md documents the contract).
+ * per process (avx512 > avx2 > sse4 > scalar); VIBNN_KERNELS=<name>
+ * selects one explicitly (fatal if that tier is not available on this
+ * CPU/build; VIBNN_KERNELS=scalar pins the reference). Tests iterate
+ * availableKernels() and assert bit-exactness of every tier against
+ * scalarKernels() — including saturation and odd-size tail lanes — so
+ * the dispatch decision is a pure performance choice, never a semantic
+ * one (docs/ARCHITECTURE.md documents the contract).
  *
  * The training path adds the f32 GEMMs, the fused Adam step, and the
  * plane and KL ops built on this layer's softplus / logistic / ln, the
@@ -385,7 +388,7 @@ struct KernelOps
 /** The shared finish stage: bias add on the accumulator grid, optional
  *  ReLU, arithmetic-shift requantization, activation-grid saturation.
  *  Inline so every tier compiles the identical arithmetic. */
-inline std::int32_t
+[[gnu::always_inline]] inline std::int32_t
 gemmFinish(std::int64_t acc, std::int64_t bias_raw, const GemmFinish &f)
 {
     std::int64_t v = acc + (bias_raw << f.biasShift);
@@ -420,6 +423,24 @@ float logistic(float x);
 void softplusLogistic(float x, float &sp, float &lg);
 double ln(float x);
 
+/** Calls body(i, len, sigma, dsigma) over [0, n) in chunks of at most
+ *  256 elements, with sigma and dsigma of rho[i, i + len) from ops'
+ *  plane op: the plane op for callers that read each sigma once and
+ *  keep no full-length plane. */
+template <class Body>
+void
+forSigmaChunks(const KernelOps &ops, const float *rho, std::size_t n,
+               Body &&body)
+{
+    constexpr std::size_t kChunk = 256;
+    alignas(64) float sigma[kChunk], dsigma[kChunk];
+    for (std::size_t i = 0; i < n; i += kChunk) {
+        const std::size_t len = n - i < kChunk ? n - i : kChunk;
+        ops.sigmaPlanes(rho + i, sigma, dsigma, nullptr, len);
+        body(i, len, sigma, dsigma);
+    }
+}
+
 /** KlArgs for prior standard deviation `prior_sigma` (fatal unless
  *  positive) and a finite gradient scale `scale`. */
 KlArgs klArgs(float prior_sigma, float scale);
@@ -438,7 +459,7 @@ const KernelOps &scalarKernels();
  *  first call reads VIBNN_KERNELS and probes the CPU once). */
 const KernelOps &activeKernels();
 
-/** Name of the active tier ("scalar", "sse4", "avx2"). */
+/** Name of the active tier ("scalar", "sse4", "avx2", "avx512"). */
 const char *activeKernelName();
 
 /** Every tier compiled into this binary AND supported by the running

@@ -704,6 +704,30 @@ avx2Kernels()
     return ops;
 }
 
+// The avx512 tier's table (kernels_avx512.cc returns it): its f32 GEMM,
+// plane and KL entries are that file's; its inference entries and Adam
+// are this tier's own functions, so serving runs the same code on
+// either tier. A constant-initialized object, not a function: this
+// file's code and every kernel's address stay as they were without the
+// tier.
+void gemmBatchF32Avx512(const GemmF32Args &g);
+void gemmAtBF32Avx512(const GemmF32Args &g);
+void gemmABF32Avx512(const GemmF32Args &g);
+void sigmaPlanesAvx512(const float *rho, float *sigma, float *dsigma,
+                       float *sigma_sq, std::size_t n);
+double klSumGradAvx512(const float *mu, const float *sigma,
+                       const float *dsigma, float *gmu, float *grho,
+                       std::size_t n, const KlArgs &args, double acc);
+
+extern const KernelOps avx512Table;
+constinit const KernelOps avx512Table = {
+    "avx512",           &quantizeDoubleAvx2,  &quantizeFloatAvx2,
+    &sampleWeightsAvx2, &packInt16Avx2,       &gemmBatchAvx2,
+    &rlfCycleCountsAvx2, &wallacePassAvx2,
+    &gemmBatchF32Avx512, &gemmAtBF32Avx512,   &gemmABF32Avx512,
+    &adamStepF32Avx2,    &sigmaPlanesAvx512,  &klSumGradAvx512,
+};
+
 } // namespace vibnn::accel::kernels
 
 #endif // x86

@@ -5,6 +5,15 @@
  * the SIMD tiers for tail lanes and ineligible-format fallbacks, so
  * "bit-exact against the scalar reference" holds by construction
  * everywhere a tier drops out of its vector loop.
+ *
+ * Every helper here but the two RLF group helpers is always_inline.
+ * Each tier's TU is compiled with its own ISA flags, and an out-of-line
+ * copy (a Debug build emits one per TU, as a weak symbol) would leave
+ * the linker to keep one tier's copy for every tier's calls. The RLF
+ * helpers stay plain inline: forcing them inline reorders
+ * kernels_avx2.cc's functions, which moves its kernels' cache-line
+ * offsets, and a Debug build's copies of them hold no vector
+ * instruction.
  */
 
 #ifndef VIBNN_ACCEL_KERNELS_KERNELS_DETAIL_HH
@@ -25,7 +34,7 @@ namespace vibnn::accel::kernels::detail
  *  resolution: scale (an exact power of two, so the scaling never
  *  rounds), round half away from zero, saturate in the double domain
  *  exactly like FixedPointFormat::fromReal. `scale` is 2^fracBits. */
-inline std::int32_t
+[[gnu::always_inline]] inline std::int32_t
 quantizeOne(double value, double scale, std::int32_t raw_min,
             std::int32_t raw_max)
 {
@@ -40,7 +49,7 @@ quantizeOne(double value, double scale, std::int32_t raw_min,
 
 /** DatapathKernel::sampleWeight: w = mu + ((sigma * eps) >> epsShift),
  *  saturated to the weight grid. */
-inline std::int32_t
+[[gnu::always_inline]] inline std::int32_t
 sampleOne(std::int64_t mu, std::int64_t sigma, std::int64_t eps,
           const SampleParams &p)
 {
@@ -54,7 +63,7 @@ sampleOne(std::int64_t mu, std::int64_t sigma, std::int64_t eps,
 }
 
 /** Scalar int64-accumulate dot product over [k0, n). */
-inline std::int64_t
+[[gnu::always_inline]] inline std::int64_t
 dotTail(const std::int32_t *w, const std::int32_t *x, std::size_t k0,
         std::size_t n)
 {
@@ -149,7 +158,7 @@ rlfCycleCountsGroup(std::uint8_t *plane, int n, int head,
 /** The Wallace 4-point transform exactly as WallaceGrng applies it:
  *  t = 0.5 * (x0 + x1 + x2 + x3) with left-to-right association, then
  *  {t - x0, t - x1, x2 - t, x3 - t}. */
-inline void
+[[gnu::always_inline]] inline void
 wallaceQuad(double *pool, const std::size_t idx[4], double *out4)
 {
     const double x0 = pool[idx[0]];
@@ -176,7 +185,7 @@ wallaceQuad(double *pool, const std::size_t idx[4], double *out4)
 /** The canonical lane-8 reduction tree of gemmBatchF32: every tier
  *  ends its dot product with exactly this association, whether the
  *  lanes were accumulated by AVX2 registers or the scalar loop. */
-inline float
+[[gnu::always_inline]] inline float
 reduceLanes8F32(const float lanes[8])
 {
     const float m0 = lanes[0] + lanes[4];
@@ -189,7 +198,7 @@ reduceLanes8F32(const float lanes[8])
 /** Scalar continuation of the lane-8 dot product over [k0, n): element
  *  k lands in lane k mod 8, matching one 8-wide vector register (or
  *  the lo/hi SSE pair) walking the same range. */
-inline void
+[[gnu::always_inline]] inline void
 dotLanes8TailF32(float lanes[8], const float *a, const float *b,
                  std::size_t k0, std::size_t n)
 {
@@ -200,7 +209,7 @@ dotLanes8TailF32(float lanes[8], const float *a, const float *b,
 }
 
 /** Full scalar lane-8 dot product — the gemmBatchF32 reference body. */
-inline float
+[[gnu::always_inline]] inline float
 dotLanes8F32(const float *a, const float *b, std::size_t n)
 {
     float lanes[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
@@ -210,7 +219,7 @@ dotLanes8F32(const float *a, const float *b, std::size_t n)
 
 /** Scalar axpy continuation over [k0, n): dst[k] += s * src[k] with
  *  the explicit two-rounding (multiply then add) every tier uses. */
-inline void
+[[gnu::always_inline]] inline void
 axpyTailF32(float *dst, float s, const float *src, std::size_t k0,
             std::size_t n)
 {
@@ -223,7 +232,7 @@ axpyTailF32(float *dst, float s, const float *src, std::size_t k0,
 /** One Adam element update (see AdamStepArgs) — mul/add/div/sqrt are
  *  all correctly rounded in IEEE single, so the SIMD tiers match this
  *  bit for bit without any ordering care. */
-inline void
+[[gnu::always_inline]] inline void
 adamOneF32(float &p, float g, float &m, float &v, const AdamStepArgs &a)
 {
     // Association mirrors the historical AdamOptimizer::step loop
@@ -239,13 +248,14 @@ adamOneF32(float &p, float g, float &m, float &v, const AdamStepArgs &a)
 }
 
 /** Scalar reference for wallacePass (see KernelOps::wallacePass). */
-inline void
+[[gnu::always_inline]] inline void
 wallacePassScalar(double *pool, std::size_t pool_size, std::size_t offset,
                   std::size_t stride, double *out)
 {
     const std::size_t quads = pool_size / 4;
     std::size_t pos = offset;
-    auto advance = [&pos, stride, pool_size]() {
+    auto advance = [&pos, stride,
+                    pool_size]() __attribute__((always_inline)) {
         const std::size_t at = pos;
         pos += stride;
         if (pos >= pool_size)
@@ -269,9 +279,7 @@ wallacePassScalar(double *pool, std::size_t pool_size, std::size_t offset,
 // performs the same IEEE operations in the same order. A comparison
 // gives a bool on one lane and a lane mask on vectors; & joins either.
 // Kernel TUs are compiled with -ffp-contract=off: no product is fused
-// into a sum. Every body here is always_inline: an out-of-line copy
-// built with one tier's ISA flags could otherwise be linked into the
-// scalar tier's calls.
+// into a sum.
 
 struct ScalarLanes
 {
@@ -279,11 +287,14 @@ struct ScalarLanes
     using D = double;
     using U = std::uint64_t;
 
-    static D widen(F x) { return x; }
-    static F narrow(D x) { return static_cast<F>(x); }
-    static U bits(D x) { return std::bit_cast<U>(x); }
-    static D fromBits(U u) { return std::bit_cast<D>(u); }
-    static D splat(double v) { return v; }
+    [[gnu::always_inline]] static D widen(F x) { return x; }
+    [[gnu::always_inline]] static F narrow(D x) { return static_cast<F>(x); }
+    [[gnu::always_inline]] static U bits(D x) { return std::bit_cast<U>(x); }
+    [[gnu::always_inline]] static D fromBits(U u)
+    {
+        return std::bit_cast<D>(u);
+    }
+    [[gnu::always_inline]] static D splat(double v) { return v; }
 };
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();

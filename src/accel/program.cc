@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "accel/kernels/kernels.hh"
 #include "bnn/bayesian_cnn.hh"
 #include "bnn/bayesian_mlp.hh"
 #include "common/logging.hh"
@@ -139,6 +140,34 @@ validateProgram(const QuantizedProgram &program,
     config.validate(sizes);
 }
 
+namespace
+{
+
+/** mu and softplus(rho) of n parameters on the weight grid, sigma from
+ *  the active tier's plane op. */
+void
+quantizeMuSigma(const float *mu, const float *rho, std::size_t n,
+                const fixed::FixedPointFormat &format,
+                std::vector<std::int32_t> &mu_raw,
+                std::vector<std::int32_t> &sigma_raw)
+{
+    mu_raw.resize(n);
+    sigma_raw.resize(n);
+    kernels::forSigmaChunks(
+        kernels::activeKernels(), rho, n,
+        [&](std::size_t i, std::size_t len, const float *sigma,
+            const float *) {
+            for (std::size_t j = 0; j < len; ++j) {
+                mu_raw[i + j] =
+                    static_cast<std::int32_t>(format.fromReal(mu[i + j]));
+                sigma_raw[i + j] =
+                    static_cast<std::int32_t>(format.fromReal(sigma[j]));
+            }
+        });
+}
+
+} // namespace
+
 QuantizedLayer
 quantizeBank(const float *mu_weight, const float *rho_weight,
              const float *mu_bias, const float *rho_bias,
@@ -148,27 +177,10 @@ quantizeBank(const float *mu_weight, const float *rho_weight,
     QuantizedLayer bank;
     bank.inDim = in_dim;
     bank.outDim = out_dim;
-
-    const std::size_t weights = in_dim * out_dim;
-    bank.muWeight.resize(weights);
-    bank.sigmaWeight.resize(weights);
-    for (std::size_t i = 0; i < weights; ++i) {
-        bank.muWeight[i] = static_cast<std::int32_t>(
-            weight_format.fromReal(mu_weight[i]));
-        bank.sigmaWeight[i] = static_cast<std::int32_t>(
-            weight_format.fromReal(
-                bnn::VariationalDense::sigmaOf(rho_weight[i])));
-    }
-
-    bank.muBias.resize(out_dim);
-    bank.sigmaBias.resize(out_dim);
-    for (std::size_t i = 0; i < out_dim; ++i) {
-        bank.muBias[i] = static_cast<std::int32_t>(
-            weight_format.fromReal(mu_bias[i]));
-        bank.sigmaBias[i] = static_cast<std::int32_t>(
-            weight_format.fromReal(
-                bnn::VariationalDense::sigmaOf(rho_bias[i])));
-    }
+    quantizeMuSigma(mu_weight, rho_weight, in_dim * out_dim, weight_format,
+                    bank.muWeight, bank.sigmaWeight);
+    quantizeMuSigma(mu_bias, rho_bias, out_dim, weight_format, bank.muBias,
+                    bank.sigmaBias);
     return bank;
 }
 

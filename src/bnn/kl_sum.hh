@@ -8,6 +8,8 @@
 #ifndef VIBNN_BNN_KL_SUM_HH
 #define VIBNN_BNN_KL_SUM_HH
 
+#include <cstddef>
+
 #include "accel/kernels/kernels.hh"
 
 namespace vibnn::bnn
@@ -29,20 +31,26 @@ class KlSum
     {
     }
 
-    /** Add one element's KL. */
+    /** Add the KL of n elements with sigma = softplus(rho), in index
+     *  order, sigma from the active tier's plane op. With gmu and grho,
+     *  the active tier's KL op also accumulates their gradients. */
     void
-    add(float mu, float s)
+    addRows(const float *mu, const float *rho, std::size_t n,
+            float *gmu = nullptr, float *grho = nullptr)
     {
-        kl_ += accel::kernels::klTerm(mu, s, args_);
-    }
-
-    /** Add one element's KL and accumulate its gradient, given
-     *  ds = dsigma/drho. */
-    void
-    add(float mu, float s, float ds, float &gmu, float &grho)
-    {
-        add(mu, s);
-        accel::kernels::klGrad(mu, s, ds, gmu, grho, args_);
+        const auto &ops = accel::kernels::activeKernels();
+        accel::kernels::forSigmaChunks(
+            ops, rho, n,
+            [&](std::size_t i, std::size_t len, const float *sigma,
+                const float *dsigma) {
+                if (gmu) {
+                    kl_ = ops.klSumGrad(mu + i, sigma, dsigma, gmu + i,
+                                        grho + i, len, args_, kl_);
+                    return;
+                }
+                for (std::size_t j = 0; j < len; ++j)
+                    kl_ += accel::kernels::klTerm(mu[i + j], sigma[j], args_);
+            });
     }
 
     double value() const { return kl_; }

@@ -189,12 +189,9 @@ double
 VariationalDense::klDivergence(float prior_sigma) const
 {
     KlSum sum(prior_sigma);
-    const auto &mw = muWeight_.data();
-    const auto &rw = rhoWeight_.data();
-    for (std::size_t i = 0; i < mw.size(); ++i)
-        sum.add(mw[i], sigmaOf(rw[i]));
-    for (std::size_t i = 0; i < muBias_.size(); ++i)
-        sum.add(muBias_[i], sigmaOf(rhoBias_[i]));
+    sum.addRows(muWeight_.data().data(), rhoWeight_.data().data(),
+                muWeight_.size());
+    sum.addRows(muBias_.data(), rhoBias_.data(), muBias_.size());
     return sum.value();
 }
 
@@ -203,19 +200,11 @@ VariationalDense::klValueAndGrad(float prior_sigma, float scale,
                                  VariationalGradients &grads) const
 {
     KlSum sum(prior_sigma, scale);
-    const auto &mw = muWeight_.data();
-    const auto &rw = rhoWeight_.data();
-    auto &gm = grads.muWeight.data();
-    auto &gr = grads.rhoWeight.data();
-    float s = 0.0f, ds = 0.0f;
-    for (std::size_t i = 0; i < mw.size(); ++i) {
-        nn::softplusLogistic(rw[i], s, ds);
-        sum.add(mw[i], s, ds, gm[i], gr[i]);
-    }
-    for (std::size_t i = 0; i < muBias_.size(); ++i) {
-        nn::softplusLogistic(rhoBias_[i], s, ds);
-        sum.add(muBias_[i], s, ds, grads.muBias[i], grads.rhoBias[i]);
-    }
+    sum.addRows(muWeight_.data().data(), rhoWeight_.data().data(),
+                muWeight_.size(), grads.muWeight.data().data(),
+                grads.rhoWeight.data().data());
+    sum.addRows(muBias_.data(), rhoBias_.data(), muBias_.size(),
+                grads.muBias.data(), grads.rhoBias.data());
     return sum.value();
 }
 

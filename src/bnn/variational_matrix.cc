@@ -56,8 +56,7 @@ double
 VariationalMatrix::klDivergence(float prior_sigma) const
 {
     KlSum sum(prior_sigma);
-    for (std::size_t i = 0; i < mu_.size(); ++i)
-        sum.add(mu_.data()[i], nn::softplus(rho_.data()[i]));
+    sum.addRows(mu_.data().data(), rho_.data().data(), mu_.size());
     return sum.value();
 }
 
@@ -67,11 +66,8 @@ VariationalMatrix::klValueAndGrad(float prior_sigma, float scale,
                                   nn::Matrix &g_rho) const
 {
     KlSum sum(prior_sigma, scale);
-    float s = 0.0f, ds = 0.0f;
-    for (std::size_t i = 0; i < mu_.size(); ++i) {
-        nn::softplusLogistic(rho_.data()[i], s, ds);
-        sum.add(mu_.data()[i], s, ds, g_mu.data()[i], g_rho.data()[i]);
-    }
+    sum.addRows(mu_.data().data(), rho_.data().data(), mu_.size(),
+                g_mu.data().data(), g_rho.data().data());
     return sum.value();
 }
 

@@ -450,10 +450,10 @@ class InferenceSession
      *  Fidelity mode, "batched" in Throughput mode. */
     const std::string &backendId() const { return engine_.backendId(); }
 
-    /** The SIMD kernel tier the backends dispatch to ("scalar",
-     *  "sse4", "avx2") — serving introspection, so a deployment can
-     *  log which datapath it is actually running (the tiers are
-     *  bit-exact, so this only explains throughput). */
+    /** The SIMD kernel tier the backends dispatch to ("scalar", "sse4",
+     *  "avx2", "avx512"; avx512 serves with the avx2 inference kernels)
+     *  — serving introspection: the tiers are bit-exact, so this only
+     *  explains throughput. */
     static const char *kernelName();
 
   private:

@@ -9,9 +9,11 @@
  * classic sampleBlock staging path; activation-range saturation of the
  * int32-narrowed batched path; and thread-count invariance (1/2/5
  * runners) plus tile-size invariance of the intra-pass parallel
- * BatchedRunner on synth images; and the training step's plane op
+ * BatchedRunner on synth images; the training step's plane op
  * (softplus / logistic) and KL op, bit-exact on every tier over the
- * switch points, the exp clamp, infinities, NaNs and subnormals.
+ * switch points, the exp clamp, infinities, NaNs and subnormals; the
+ * f32 training entries on fixed-seed generated shapes, the tile edges
+ * and the training shapes; and the avx512 tier's dispatch.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +145,46 @@ TEST(KernelDispatch, ScalarTierAlwaysAvailableAndActiveTierListed)
     EXPECT_TRUE(active_listed)
         << "active tier " << k::activeKernelName()
         << " missing from availableKernels()";
+}
+
+TEST(KernelDispatch, Avx512ListedExactlyWhenCpuReportsAllFourFeatures)
+{
+    bool cpu_avx512 = false;
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+    cpu_avx512 = __builtin_cpu_supports("avx2") &&
+        __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512bw");
+#endif
+    const auto tiers = k::availableKernels();
+    EXPECT_EQ(k::kernelsByName("avx512") != nullptr, cpu_avx512);
+    if (cpu_avx512) {
+        EXPECT_STREQ(tiers.back()->name, "avx512") << "widest tier last";
+    }
+    // The widest tier is active unless VIBNN_KERNELS names another.
+    const char *requested = std::getenv("VIBNN_KERNELS");
+    EXPECT_STREQ(k::activeKernelName(), requested && *requested
+                                            ? requested
+                                            : tiers.back()->name);
+}
+
+TEST(KernelDispatch, Avx512RunsTheAvx2InferenceEntries)
+{
+    const k::KernelOps *avx512 = k::kernelsByName("avx512");
+    if (!avx512)
+        GTEST_SKIP() << "this CPU has no avx512 tier";
+    const k::KernelOps *avx2 = k::kernelsByName("avx2");
+    ASSERT_NE(avx2, nullptr);
+    EXPECT_EQ(avx512->quantizeDouble, avx2->quantizeDouble);
+    EXPECT_EQ(avx512->quantizeFloat, avx2->quantizeFloat);
+    EXPECT_EQ(avx512->sampleWeights, avx2->sampleWeights);
+    EXPECT_EQ(avx512->packInt16, avx2->packInt16);
+    EXPECT_EQ(avx512->gemmBatch, avx2->gemmBatch);
+    EXPECT_EQ(avx512->rlfCycleCounts, avx2->rlfCycleCounts);
+    EXPECT_EQ(avx512->wallacePass, avx2->wallacePass);
+    // Adam is memory-bound: the tier keeps the avx2 step.
+    EXPECT_EQ(avx512->adamStepF32, avx2->adamStepF32);
 }
 
 TEST(KernelQuantize, MatchesFromRealAcrossFormatsAndTiers)
@@ -958,6 +1000,193 @@ TEST(KernelAdamF32, StepTiersBitExact)
             EXPECT_TRUE(bitsEqual(p, pr)) << ops->name << " n=" << n;
             EXPECT_TRUE(bitsEqual(m, mr)) << ops->name << " n=" << n;
             EXPECT_TRUE(bitsEqual(v, vr)) << ops->name << " n=" << n;
+        }
+    }
+}
+
+namespace
+{
+
+enum class F32Gemm
+{
+    Batch,
+    AtB,
+    AB
+};
+
+/** One f32 GEMM call's shape; a leading dimension of 0 means packed. */
+struct F32GemmCase
+{
+    F32Gemm which;
+    std::size_t m, n, k;
+    std::size_t lda = 0, ldb = 0, ldc = 0;
+};
+
+/**
+ * Runs one f32 GEMM entry at `cs` on every available tier and on the
+ * scalar reference, from the same C (and colSums) seed, with the bias
+ * (gemmBatchF32) or column sums (gemmAtBF32), and expects the whole C
+ * buffer, stride padding included, and the sums to match bitwise. Each
+ * operand's rows and columns follow GemmF32Args.
+ */
+void
+expectGemmF32TiersMatch(const F32GemmCase &cs, std::uint64_t seed)
+{
+    const bool fwd = cs.which == F32Gemm::Batch;
+    const std::size_t a_cols = fwd ? cs.k : cs.n;
+    const std::size_t b_rows = cs.which == F32Gemm::AtB ? cs.m : cs.n;
+    const std::size_t c_rows = cs.which == F32Gemm::AtB ? cs.n : cs.m;
+    const std::size_t c_cols = fwd ? cs.n : cs.k;
+    k::GemmF32Args args;
+    args.lda = std::max(cs.lda, a_cols);
+    args.ldb = std::max(cs.ldb, cs.k);
+    args.ldc = std::max(cs.ldc, c_cols);
+    args.m = cs.m;
+    args.n = cs.n;
+    args.k = cs.k;
+    const auto a = randomFloats(cs.m * args.lda, seed, 1.5f);
+    const auto b = randomFloats(b_rows * args.ldb, seed + 1, 1.5f);
+    const auto c0 = randomFloats(c_rows * args.ldc, seed + 2, 0.25f);
+    const auto extra0 = randomFloats(cs.n, seed + 3, 0.5f);
+    args.a = a.data();
+    args.b = b.data();
+    const auto run = [&](const k::KernelOps &ops, std::vector<float> &c,
+                         std::vector<float> &extra) {
+        args.c = c.data();
+        args.bias = fwd ? extra.data() : nullptr;
+        args.colSums = cs.which == F32Gemm::AtB ? extra.data() : nullptr;
+        switch (cs.which) {
+        case F32Gemm::Batch:
+            ops.gemmBatchF32(args);
+            break;
+        case F32Gemm::AtB:
+            ops.gemmAtBF32(args);
+            break;
+        case F32Gemm::AB:
+            ops.gemmABF32(args);
+            break;
+        }
+    };
+    std::vector<float> ref = c0, ref_extra = extra0;
+    run(k::scalarKernels(), ref, ref_extra);
+    for (const k::KernelOps *ops : k::availableKernels()) {
+        std::vector<float> out = c0, extra = extra0;
+        run(*ops, out, extra);
+        EXPECT_TRUE(bitsEqual(out, ref) && bitsEqual(extra, ref_extra))
+            << ops->name << " entry=" << static_cast<int>(cs.which)
+            << " m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+            << " lda=" << args.lda << " ldb=" << args.ldb
+            << " ldc=" << args.ldc;
+    }
+}
+
+} // namespace
+
+TEST(KernelGemmF32, GeneratedShapesTiersBitExact)
+{
+    // Fixed-seed draws of m, n and k in [1, 300] with 0-7 floats of
+    // stride padding per operand, for each of the three GEMM entries.
+    Rng rng(20260);
+    for (const F32Gemm which : {F32Gemm::Batch, F32Gemm::AtB, F32Gemm::AB}) {
+        for (int draw = 0; draw < 8; ++draw) {
+            F32GemmCase cs{which,
+                           static_cast<std::size_t>(rng.uniformInt(1, 300)),
+                           static_cast<std::size_t>(rng.uniformInt(1, 300)),
+                           static_cast<std::size_t>(rng.uniformInt(1, 300))};
+            const std::size_t a_cols =
+                which == F32Gemm::Batch ? cs.k : cs.n;
+            const std::size_t c_cols =
+                which == F32Gemm::Batch ? cs.n : cs.k;
+            cs.lda = a_cols + static_cast<std::size_t>(rng.uniformInt(0, 7));
+            cs.ldb = cs.k + static_cast<std::size_t>(rng.uniformInt(0, 7));
+            cs.ldc = c_cols + static_cast<std::size_t>(rng.uniformInt(0, 7));
+            expectGemmF32TiersMatch(
+                cs, 3000 + 10 * static_cast<unsigned>(draw));
+        }
+    }
+}
+
+TEST(KernelGemmF32, TileEdgeShapesTiersBitExact)
+{
+    // Forward: n = 13 walks the 8-, 4- and 1-row B tiles; odd m leaves
+    // an A row without a partner. Backward: k = 59 walks the 32-, 16-
+    // and 8-column C tiles, then the scalar tail; n or m = 4q + 3 leaves
+    // rows beside the 4-row tiles.
+    const F32GemmCase cases[] = {
+        {F32Gemm::Batch, 5, 13, 59},  {F32Gemm::Batch, 1, 13, 16},
+        {F32Gemm::Batch, 7, 13, 8},   {F32Gemm::Batch, 6, 12, 7},
+        {F32Gemm::AtB, 5, 7, 59},     {F32Gemm::AtB, 9, 8, 59, 11, 61, 64},
+        {F32Gemm::AtB, 3, 4, 56},     {F32Gemm::AB, 7, 5, 59},
+        {F32Gemm::AB, 8, 9, 59, 12, 60, 63}, {F32Gemm::AB, 3, 2, 48},
+    };
+    std::uint64_t seed = 4000;
+    for (const auto &cs : cases)
+        expectGemmF32TiersMatch(cs, seed += 10);
+}
+
+TEST(KernelGemmF32, TrainingShapesTiersBitExact)
+{
+    // The 784-200-200-10 network's three layers, as the batched trainer
+    // calls them: batch 64 and a ragged last minibatch of 63.
+    const std::size_t layers[][2] = {{784, 200}, {200, 200}, {200, 10}};
+    std::uint64_t seed = 5000;
+    for (const std::size_t batch : {64u, 63u})
+        for (const auto &layer : layers)
+            for (const F32Gemm which :
+                 {F32Gemm::Batch, F32Gemm::AtB, F32Gemm::AB})
+                expectGemmF32TiersMatch(
+                    {which, batch, layer[1], layer[0]}, seed += 10);
+}
+
+TEST(KernelTrainingOps, GeneratedLengthsTiersBitExact)
+{
+    // Adam, the plane op and the KL op on fixed-seed lengths in
+    // [1, 300], each starting 0-15 floats past a 64-byte boundary.
+    Rng rng(20261);
+    const k::KlArgs kl = k::klArgs(0.25f, 1.0f / 64.0f);
+    k::AdamStepArgs adam;
+    adam.bc1 = 1.0f - 0.9f * 0.9f * 0.9f;
+    adam.bc2 = 1.0f - 0.999f * 0.999f * 0.999f;
+    adam.gradScale = 1.0f / 64.0f;
+    for (int draw = 0; draw < 24; ++draw) {
+        const auto n = static_cast<std::size_t>(rng.uniformInt(1, 300));
+        const auto off = static_cast<std::size_t>(rng.uniformInt(0, 15));
+        const std::uint64_t seed = 6000 + 10 * static_cast<unsigned>(draw);
+        const auto rho = randomFloats(off + n, seed, 6.0f);
+        const auto mu = randomFloats(off + n, seed + 1, 1.0f);
+        const auto g = randomFloats(off + n, seed + 2, 0.1f);
+        auto v0 = randomFloats(off + n, seed + 3, 0.01f);
+        for (auto &v : v0)
+            v = std::fabs(v);
+
+        struct Out
+        {
+            std::vector<float> p, m, v, s, d, q, gm, gr;
+            double acc = 0.0;
+        };
+        const auto run = [&](const k::KernelOps &ops) {
+            Out o{mu, g, v0, rho, rho, rho, g, v0};
+            ops.adamStepF32(o.p.data() + off, g.data() + off,
+                            o.m.data() + off, o.v.data() + off, n, adam);
+            ops.sigmaPlanes(rho.data() + off, o.s.data() + off,
+                            o.d.data() + off, o.q.data() + off, n);
+            o.acc = ops.klSumGrad(mu.data() + off, o.s.data() + off,
+                                  o.d.data() + off, o.gm.data() + off,
+                                  o.gr.data() + off, n, kl, 0.5);
+            return o;
+        };
+        const Out ref = run(k::scalarKernels());
+        for (const k::KernelOps *ops : k::availableKernels()) {
+            const Out o = run(*ops);
+            EXPECT_TRUE(bitsEqual(o.p, ref.p) && bitsEqual(o.m, ref.m) &&
+                        bitsEqual(o.v, ref.v))
+                << ops->name << " adam n=" << n << " off=" << off;
+            EXPECT_TRUE(bitsEqual(o.s, ref.s) && bitsEqual(o.d, ref.d) &&
+                        bitsEqual(o.q, ref.q))
+                << ops->name << " planes n=" << n << " off=" << off;
+            EXPECT_TRUE(bitsEqual(o.gm, ref.gm) && bitsEqual(o.gr, ref.gr) &&
+                        std::memcmp(&o.acc, &ref.acc, sizeof o.acc) == 0)
+                << ops->name << " kl n=" << n << " off=" << off;
         }
     }
 }

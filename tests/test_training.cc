@@ -25,6 +25,8 @@
 #include "accel/program.hh"
 #include "bnn/bayesian_mlp.hh"
 #include "bnn/bnn_trainer.hh"
+#include "bnn/variational_conv.hh"
+#include "bnn/variational_matrix.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "data/synth_mnist.hh"
@@ -379,6 +381,151 @@ TEST(BatchedTrainer, KlMatchesNetKlDivergence)
             EXPECT_EQ(std::memcmp(&kl, &before, sizeof kl), 0)
                 << "step " << step << ": " << kl << " vs " << before;
         }
+    }
+}
+
+namespace
+{
+
+/** rho and mu for the layer-KL pin: rho spans both +-20 switches of
+ *  softplus and hits them exactly; mu is uniform in [-1, 1]. */
+void
+fillKlParams(float *mu, float *rho, std::size_t n, Rng &rng)
+{
+    const float edges[] = {-20.0f, 20.0f, 0.0f, -19.999998f, 19.999998f};
+    for (std::size_t i = 0; i < n; ++i) {
+        mu[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        rho[i] = i % 7 == 0 ? edges[(i / 7) % 5]
+                            : static_cast<float>(rng.uniform(-25.0, 25.0));
+    }
+}
+
+/** The layers' KL through the scalar reference functions, one element
+ *  at a time in index order on one accumulator; with gmu and grho, the
+ *  gradients too. */
+double
+scalarKlLoop(const float *mu, const float *rho, std::size_t n,
+             const accel::kernels::KlArgs &args, double acc,
+             float *gmu = nullptr, float *grho = nullptr)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const float s = k::softplus(rho[i]);
+        acc += k::klTerm(mu[i], s, args);
+        if (gmu)
+            k::klGrad(mu[i], s, k::logistic(rho[i]), gmu[i], grho[i], args);
+    }
+    return acc;
+}
+
+} // namespace
+
+TEST(LayerKl, MatchesScalarSoftplusAndKlTermLoop)
+{
+    // The dense, conv and matrix layers' klDivergence and klValueAndGrad
+    // take sigma from the active tier's plane op and the terms and
+    // gradients from its KL op, in 256-element chunks. They must equal,
+    // bit for bit, a loop over the scalar softplus, logistic, klTerm and
+    // klGrad. Sizes straddle the chunk length and every tier's vector
+    // width; the kernel-matrix CI job runs this under each tier.
+    constexpr float kPrior = 0.3f, kScale = 1.0f / 517.0f;
+    const auto kl_args = k::klArgs(kPrior, 0.0f);
+    const auto grad_args = k::klArgs(kPrior, kScale);
+    Rng rng(181);
+
+    {
+        bnn::VariationalDense layer(301, 7, rng);
+        auto &mw = layer.muWeight().data();
+        auto &rw = layer.rhoWeight().data();
+        fillKlParams(mw.data(), rw.data(), mw.size(), rng);
+        fillKlParams(layer.muBias().data(), layer.rhoBias().data(),
+                     layer.muBias().size(), rng);
+        const double ref = scalarKlLoop(
+            layer.muBias().data(), layer.rhoBias().data(),
+            layer.muBias().size(), kl_args,
+            scalarKlLoop(mw.data(), rw.data(), mw.size(), kl_args, 0.0));
+        const double kl = layer.klDivergence(kPrior);
+        EXPECT_EQ(std::memcmp(&kl, &ref, sizeof kl), 0) << kl << " vs " << ref;
+
+        bnn::VariationalGradients grads, want;
+        grads.resize(7, 301);
+        for (auto *g : {&grads.muWeight.data(), &grads.rhoWeight.data(),
+                        &grads.muBias, &grads.rhoBias})
+            for (auto &v : *g)
+                v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        want = grads;
+        const double got = layer.klValueAndGrad(kPrior, kScale, grads);
+        const double ref_g = scalarKlLoop(
+            layer.muBias().data(), layer.rhoBias().data(),
+            layer.muBias().size(), grad_args,
+            scalarKlLoop(mw.data(), rw.data(), mw.size(), grad_args, 0.0,
+                         want.muWeight.data().data(),
+                         want.rhoWeight.data().data()),
+            want.muBias.data(), want.rhoBias.data());
+        EXPECT_EQ(std::memcmp(&got, &ref_g, sizeof got), 0);
+        EXPECT_TRUE(bitsEqual(grads.muWeight.data(), want.muWeight.data()));
+        EXPECT_TRUE(bitsEqual(grads.rhoWeight.data(), want.rhoWeight.data()));
+        EXPECT_TRUE(bitsEqual(grads.muBias, want.muBias));
+        EXPECT_TRUE(bitsEqual(grads.rhoBias, want.rhoBias));
+    }
+    {
+        nn::ConvSpec spec;
+        spec.inChannels = 3;
+        spec.inHeight = spec.inWidth = 9;
+        spec.outChannels = 5;
+        spec.kernel = 5;
+        bnn::VariationalConv2d layer(spec, rng);
+        auto &mw = layer.muWeight().data();
+        auto &rw = layer.rhoWeight().data();
+        fillKlParams(mw.data(), rw.data(), mw.size(), rng);
+        fillKlParams(layer.muBias().data(), layer.rhoBias().data(),
+                     layer.muBias().size(), rng);
+        const double ref = scalarKlLoop(
+            layer.muBias().data(), layer.rhoBias().data(),
+            layer.muBias().size(), kl_args,
+            scalarKlLoop(mw.data(), rw.data(), mw.size(), kl_args, 0.0));
+        const double kl = layer.klDivergence(kPrior);
+        EXPECT_EQ(std::memcmp(&kl, &ref, sizeof kl), 0) << kl << " vs " << ref;
+
+        bnn::VariationalConvGradients grads;
+        grads.resize(spec);
+        grads.zero();
+        auto want = grads;
+        const double got = layer.klValueAndGrad(kPrior, kScale, grads);
+        const double ref_g = scalarKlLoop(
+            layer.muBias().data(), layer.rhoBias().data(),
+            layer.muBias().size(), grad_args,
+            scalarKlLoop(mw.data(), rw.data(), mw.size(), grad_args, 0.0,
+                         want.muWeight.data().data(),
+                         want.rhoWeight.data().data()),
+            want.muBias.data(), want.rhoBias.data());
+        EXPECT_EQ(std::memcmp(&got, &ref_g, sizeof got), 0);
+        EXPECT_TRUE(bitsEqual(grads.muWeight.data(), want.muWeight.data()));
+        EXPECT_TRUE(bitsEqual(grads.rhoWeight.data(), want.rhoWeight.data()));
+        EXPECT_TRUE(bitsEqual(grads.muBias, want.muBias));
+        EXPECT_TRUE(bitsEqual(grads.rhoBias, want.rhoBias));
+    }
+    {
+        bnn::VariationalMatrix block(23, 29, rng, 0.5f);
+        auto &mu = block.mu().data();
+        auto &rho = block.rho().data();
+        fillKlParams(mu.data(), rho.data(), mu.size(), rng);
+        const double ref =
+            scalarKlLoop(mu.data(), rho.data(), mu.size(), kl_args, 0.0);
+        const double kl = block.klDivergence(kPrior);
+        EXPECT_EQ(std::memcmp(&kl, &ref, sizeof kl), 0) << kl << " vs " << ref;
+
+        nn::Matrix g_mu(23, 29), g_rho(23, 29);
+        for (auto *g : {&g_mu.data(), &g_rho.data()})
+            for (auto &v : *g)
+                v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        auto want_mu = g_mu.data(), want_rho = g_rho.data();
+        const double got = block.klValueAndGrad(kPrior, kScale, g_mu, g_rho);
+        const double ref_g = scalarKlLoop(mu.data(), rho.data(), mu.size(),
+                                          grad_args, 0.0, want_mu.data(),
+                                          want_rho.data());
+        EXPECT_EQ(std::memcmp(&got, &ref_g, sizeof got), 0);
+        EXPECT_TRUE(bitsEqual(g_mu.data(), want_mu));
+        EXPECT_TRUE(bitsEqual(g_rho.data(), want_rho));
     }
 }
 
